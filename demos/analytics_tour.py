@@ -1,13 +1,14 @@
 """Tour of the downstream analytics on a synthetic two-symbol catalog.
 
 Builds a 120-day, two-symbol corpus of daily records with jumps whose
-signs push returns, then prints every table the analyze step produces:
-return summaries, extreme counts, seasonality histograms, and the
-four-column fixed-effects regression of returns on jump dummies.
+signs push returns, plus heavy-tailed intraday returns, then prints
+every table the analyze step produces: return summaries, extreme
+counts, seasonality histograms, and the four-column fixed-effects
+regression of returns on jump dummies (White HC0 errors).
 
 Run:  python demos/analytics_tour.py
 """
-from datetime import date, timedelta, timezone, datetime
+from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
 
@@ -35,35 +36,20 @@ for symbol, level in (("BTC", 10.6), ("ETH", 7.2)):
         records.append({"symbol": symbol, "date": d.isoformat(), "tested": True,
                         "close_log_price": close, "accepted_jumps": jumps})
 
-# --- return tables ----------------------------------------------------------
-panel, dropped = analytics.build_panel(records)
-daily = {}
-for r in panel:
-    daily.setdefault(r.symbol, []).append(r.daily_return)
-stats = {s: analytics.summarize_returns(v) for s, v in daily.items()}
-print("Daily returns per symbol")
-print(analytics.render_summary_table(stats))
+# intraday returns per symbol, one array per day, as analyze re-derives them
+hf_returns = {symbol: [0.002 * rng.standard_t(3, 1_440) for _ in range(120)]
+              for symbol in ("BTC", "ETH")}
 
-pooled = np.concatenate([np.array(v) for v in daily.values()])
-print("Extreme daily returns (two-sided, strict)")
-print(analytics.render_extremes_table(analytics.count_extremes(pooled)))
-
-# --- jump size distribution and seasonality ---------------------------------
-sizes = [j["size"] for rec in records for j in rec["accepted_jumps"]]
-times = [j["utc_timestamp_ns"] for rec in records for j in rec["accepted_jumps"]]
-print("Jump sizes")
-print(analytics.render_summary_table({"all": analytics.summarize_returns(sizes)}))
-weekday, hour = analytics.seasonality(times)
-print(analytics.render_seasonality(weekday, hour))
-
-# --- the four-column regression ----------------------------------------------
-columns = {
-    "Jumps (all)": analytics.fe_regression(panel, ("jump_dummy",)),
-    "Lagged jumps (all)": analytics.fe_regression(panel, ("lagged_jump_dummy",)),
-    "Jumps (pos.)": analytics.fe_regression(panel, ("pos_jump_dummy",)),
-    "Jumps (neg.)": analytics.fe_regression(panel, ("neg_jump_dummy",)),
-}
-print("Fixed-effects regression of daily returns on jump dummies "
-      "(White HC0 errors)")
-print(analytics.render_regression_table(columns))
-print(f"(panel rows: {len(panel)}, dropped for missing previous day: {len(dropped)})")
+# --- every table, as analyze writes it ---------------------------------------
+tables, dropped = analytics.build_tables(records, hf_returns)
+for table in tables:
+    print(f"== {table.name}")
+    if table.text is not None:
+        print(table.text)
+    elif len(table.rows) <= 5:
+        for row in (table.header, *table.rows):
+            print(", ".join(str(v) for v in row))
+        print()
+    else:
+        print(f"({len(table.rows)} rows; CSV only)\n")
+print(f"(dropped for missing previous day: {len(dropped)})")

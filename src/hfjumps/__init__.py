@@ -24,7 +24,7 @@ from .preprocess import (AggregatedSeries, EquispacedSeries, RemovalRecord,
                          aggregate_cross_exchange, filter_returns,
                          make_equispaced, select_frequency)
 from .simulate import SimConfig, SimDay, make_corpus, simulate_day, write_tick_csv
-from .tickstore import CsvSchema, IngestReport, SymbolDaySlice, Tick, TickStore
+from .tickstore import CsvSchema, IngestReport, SymbolDaySlice, TickStore
 
 __version__ = "0.1.0"
 
@@ -34,7 +34,7 @@ __all__ = [
     "HfJumpsError", "IngestReport", "JumpEvent", "LmDayResult", "LmMomentResult",
     "LmParams", "NoVariationError", "NoiseEstimate", "PARABOLA", "PanelRow",
     "RangeSummary", "RegressionResult", "RemovalRecord", "RunConfig", "SimConfig",
-    "SimDay", "SummaryStats", "SymbolDaySlice", "TRIANGLE", "Tick", "TickStore",
+    "SimDay", "SummaryStats", "SymbolDaySlice", "TRIANGLE", "TickStore",
     "WeightFunction", "aggregate_cross_exchange", "ajl_constants", "ajl_test",
     "build_panel", "count_extremes", "dedup_consecutive", "detect_day",
     "estimate_noise", "fe_regression", "filter_returns", "gumbel_quantile",

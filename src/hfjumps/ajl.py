@@ -95,10 +95,6 @@ TRIANGLE = WeightFunction("triangle", lambda s: np.minimum(s, 1.0 - s),
 _REGISTRY = {w.name: w for w in (PARABOLA, TRIANGLE)}
 
 
-def register_weight(w: WeightFunction) -> None:
-    _REGISTRY[w.name] = w
-
-
 def get_weight(name: str) -> WeightFunction:
     try:
         return _REGISTRY[name]
@@ -165,6 +161,22 @@ def rho_residuals(p: int, rho: np.ndarray) -> np.ndarray:
 # robust power variation
 # ---------------------------------------------------------------------------
 
+def _power_variation(d: np.ndarray, d2: np.ndarray, w: WeightFunction, p: int,
+                     k_n: int, rho: np.ndarray) -> np.ndarray:
+    """Vbar of each row of ``d`` (rows x returns); ``d2`` is ``d * d``.
+
+    The caller squares the returns once and reuses them for both weights.
+    """
+    wj, wp = w.grid_weights(k_n)
+    n_win = d.shape[1] - k_n + 1
+    ybar = signal.oaconvolve(d, wj[::-1][None, :], mode="valid", axes=1)[:, :n_win]
+    yhat = signal.oaconvolve(d2, (wp * wp)[::-1][None, :], mode="valid", axes=1)
+    acc = np.zeros(len(d))
+    for l in range(p // 2 + 1):
+        acc += rho[l] * np.sum(np.abs(ybar) ** (p - 2 * l) * yhat ** l, axis=1)
+    return acc
+
+
 def vbar(returns: np.ndarray, w: WeightFunction, p: int = 4, k_n: int = 100,
          rho: np.ndarray | None = None) -> float:
     """Robust power variation of one day of returns (vectorized path).
@@ -172,20 +184,13 @@ def vbar(returns: np.ndarray, w: WeightFunction, p: int = 4, k_n: int = 100,
     Window sums run over i = 0..N-k_n where N = len(returns); the series
     is rejected when no complete window fits.
     """
-    d = np.asarray(returns, dtype=float)
-    N = len(d)
+    d = np.asarray(returns, dtype=float)[None, :]
+    N = d.shape[1]
     if N < k_n:
         raise DayRejected("ajl_short", f"{N} returns < k_n={k_n}")
     if rho is None:
         rho = solve_rho(p)
-    wj, wp = w.grid_weights(k_n)
-    n_win = N - k_n + 1
-    ybar = np.correlate(d, wj, mode="valid")[:n_win]
-    yhat = np.correlate(d * d, wp * wp, mode="valid")
-    total = 0.0
-    for l in range(p // 2 + 1):
-        total += rho[l] * float(np.sum(np.abs(ybar) ** (p - 2 * l) * yhat ** l))
-    return total
+    return float(_power_variation(d, d * d, w, p, k_n, rho)[0])
 
 
 def vbar_reference(returns: np.ndarray, w: WeightFunction, p: int = 4,
@@ -303,9 +308,6 @@ def _null_srj_std(n_prices: int, k_n: int, p: int, g_name: str, h_name: str,
     else:
         sig, q = 1.0, float(ratio_key)
 
-    wj_g, wp_g = g.grid_weights(k_n)
-    wj_h, wp_h = h.grid_weights(k_n)
-    n_win = n_ret - k_n + 1
     stats_out = np.empty(n_paths)
     chunk = max(1, min(50, n_paths))
     pos = 0
@@ -315,15 +317,9 @@ def _null_srj_std(n_prices: int, k_n: int, p: int, g_name: str, h_name: str,
         if q > 0:
             d += np.diff(rng.standard_normal((m, n_prices)) * q, axis=1)
         d2 = d * d
-        vals = np.empty((2, m))
-        for wi, (wj, wp) in enumerate(((wj_g, wp_g), (wj_h, wp_h))):
-            ybar = signal.oaconvolve(d, wj[::-1][None, :], mode="valid", axes=1)[:, :n_win]
-            yhat = signal.oaconvolve(d2, (wp * wp)[::-1][None, :], mode="valid", axes=1)
-            acc = np.zeros(m)
-            for l in range(p // 2 + 1):
-                acc += rho[l] * np.sum(np.abs(ybar) ** (p - 2 * l) * yhat ** l, axis=1)
-            vals[wi] = acc
-        stats_out[pos:pos + m] = vals[0] / (gamma_prime * vals[1])
+        v_g = _power_variation(d, d2, g, p, k_n, rho)
+        v_h = _power_variation(d, d2, h, p, k_n, rho)
+        stats_out[pos:pos + m] = v_g / (gamma_prime * v_h)
         pos += m
     good = np.isfinite(stats_out)
     if good.sum() < max(8, n_paths // 2):

@@ -4,18 +4,25 @@ Covers the downstream analyses of the pipeline: return summary tables
 (with raw, non-excess kurtosis), two-sided extreme-return counts, jump
 counts by UTC weekday and hour, and a one-way fixed-effects regression
 of daily returns on jump dummies with White (HC0) standard errors.
+``build_tables`` assembles all of them from a catalog as the analyze
+step writes them.
 """
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
-from datetime import date, datetime, timezone
+from datetime import date
 
 import numpy as np
 from scipy import stats as sstats
 
-from .errors import NoVariationError
+from .errors import HfJumpsError, NoVariationError
+from .tickstore import DAY_NS
+
+log = logging.getLogger(__name__)
 
 WEEKDAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+HOUR_NS = DAY_NS // 24
 
 
 # ---------------------------------------------------------------------------
@@ -80,13 +87,15 @@ def count_extremes(returns, thresholds=(0.05, 0.1, 0.2, 0.3)) -> list[ExtremeCou
 # ---------------------------------------------------------------------------
 
 def seasonality(event_timestamps_ns) -> tuple[np.ndarray, np.ndarray]:
-    """Jump counts by UTC weekday (Mon..Sun) and by UTC hour (0..23)."""
-    weekday = np.zeros(7, dtype=np.int64)
-    hour = np.zeros(24, dtype=np.int64)
-    for ts in event_timestamps_ns:
-        dt = datetime.fromtimestamp(int(ts) / 1e9, tz=timezone.utc)
-        weekday[dt.weekday()] += 1
-        hour[dt.hour] += 1
+    """Jump counts by UTC weekday (Mon..Sun) and by UTC hour (0..23).
+
+    Binned in integer nanoseconds: a float seconds value cannot resolve
+    the last nanosecond before a day boundary.  Day 0 of the epoch,
+    1970-01-01, was a Thursday.
+    """
+    ts = np.asarray(event_timestamps_ns, dtype=np.int64)
+    weekday = np.bincount((ts // DAY_NS + 3) % 7, minlength=7)
+    hour = np.bincount(ts % DAY_NS // HOUR_NS, minlength=24)
     return weekday, hour
 
 
@@ -304,3 +313,106 @@ def render_regression_table(columns: dict[str, RegressionResult]) -> str:
                  + "".join(f"{res.nobs:>{width}}" for res in columns.values()))
     lines.append("***p<0.001; **p<0.01; *p<0.05")
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# every table of the analyze step
+# ---------------------------------------------------------------------------
+
+REGRESSION_COLUMNS = {"Jumps (all)": "jump_dummy",
+                      "Lagged jumps (all)": "lagged_jump_dummy",
+                      "Jumps (pos.)": "pos_jump_dummy",
+                      "Jumps (neg.)": "neg_jump_dummy"}
+
+
+@dataclass
+class Table:
+    """One output table: ``<name>.csv`` from header and rows when rows are
+    given, ``<name>.txt`` from the text rendering when it is given."""
+
+    name: str
+    header: tuple[str, ...] = ()
+    rows: list[tuple] | None = None
+    text: str | None = None
+
+
+def _summary_table(name: str, samples: dict, empty_text: str | None) -> Table:
+    """Summaries of the samples with two or more values; no text when
+    ``empty_text`` is None."""
+    stats = {k: summarize_returns(v) for k, v in sorted(samples.items()) if len(v) >= 2}
+    rows = [(k, s.min, s.q1, s.median, s.mean, s.q3, s.max, s.skewness, s.kurtosis, s.n)
+            for k, s in stats.items()]
+    text = None
+    if empty_text is not None:
+        text = render_summary_table(stats) if stats else empty_text
+    return Table(name, ("name", "min", "q1", "median", "mean", "q3", "max",
+                        "skewness", "kurtosis", "n"), rows, text)
+
+
+def _extremes_table(name: str, returns: np.ndarray, thresholds=(0.05, 0.1, 0.2, 0.3),
+                    with_text: bool = True) -> Table:
+    counts = count_extremes(returns, thresholds=thresholds)
+    return Table(name, ("threshold", "n_below_minus", "n_above_plus"),
+                 [(c.threshold, c.n_below, c.n_above) for c in counts],
+                 render_extremes_table(counts) if with_text else None)
+
+
+def _regression_table(panel: list[PanelRow]) -> Table:
+    """One column per jump dummy; a column that cannot be estimated is skipped."""
+    columns = {}
+    for title, dummy in REGRESSION_COLUMNS.items():
+        try:
+            columns[title] = fe_regression(panel, (dummy,))
+        except (HfJumpsError, ValueError) as exc:
+            log.warning("regression column %r skipped: %s", title, exc)
+    rows = [(title, name, float(res.coef[i]), float(res.se[i]), float(res.t_stat[i]),
+             float(res.p_value[i]), res.stars[i], float(res.r2), float(res.adj_r2), res.nobs)
+            for title, res in columns.items() for i, name in enumerate(res.regressors)]
+    text = (render_regression_table(columns) if columns
+            else "insufficient panel variation for regression\n")
+    return Table("regression", ("column", "regressor", "coef", "se", "t", "p", "stars",
+                                "r2", "adj_r2", "nobs"), rows, text)
+
+
+def build_tables(day_records: list[dict],
+                 hf_returns: dict[str, list[np.ndarray]]) -> tuple[list[Table], list[str]]:
+    """Every table of the analyze step, and the panel rows dropped on the way.
+
+    ``day_records`` are catalog entries; ``hf_returns`` holds each
+    symbol's high-frequency log returns, one array per tested day.  The
+    tables are the high-frequency and daily return summaries with their
+    extreme counts, the jump-size summary (given two or more jumps) and
+    extreme counts, jump seasonality, the daily panel and the four
+    jump-dummy regression columns.
+    """
+    hf = {sym: np.concatenate(parts) for sym, parts in hf_returns.items()}
+    panel, dropped = build_panel(day_records)
+    daily: dict[str, list[float]] = {}
+    for r in panel:
+        daily.setdefault(r.symbol, []).append(r.daily_return)
+    jumps = [ev for rec in day_records for ev in rec.get("accepted_jumps") or []]
+    sizes = np.array([ev["size"] for ev in jumps], dtype=float)
+    weekday, hour = seasonality([ev["utc_timestamp_ns"] for ev in jumps])
+
+    tables = [
+        _summary_table("returns_hf_summary", hf, "no tested days\n"),
+        _extremes_table("extremes_hf", np.concatenate(list(hf.values())) if hf
+                        else np.empty(0)),
+        _summary_table("returns_daily_summary", daily, "insufficient daily history\n"),
+        _extremes_table("extremes_daily", np.array([r.daily_return for r in panel])),
+    ]
+    if len(sizes) >= 2:
+        tables.append(_summary_table("jump_size_summary", {"all": sizes}, None))
+    tables += [
+        _extremes_table("extreme_jumps", sizes, (0.025, 0.05, 0.1, 0.2), with_text=False),
+        Table("seasonality_weekday", ("weekday", "count"),
+              [(name, int(weekday[i])) for i, name in enumerate(WEEKDAYS)]),
+        Table("seasonality_hour", ("hour", "count"), [(h, int(hour[h])) for h in range(24)]),
+        Table("seasonality", text=render_seasonality(weekday, hour)),
+        Table("panel", ("symbol", "date", "daily_return", "jump_dummy", "lagged_jump_dummy",
+                        "pos_jump_dummy", "neg_jump_dummy"),
+              [(r.symbol, r.utc_date.isoformat(), r.daily_return, r.jump_dummy,
+                r.lagged_jump_dummy, r.pos_jump_dummy, r.neg_jump_dummy) for r in panel]),
+        _regression_table(panel),
+    ]
+    return tables, dropped

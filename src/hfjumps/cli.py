@@ -12,18 +12,15 @@ import json
 import logging
 import shutil
 import sys
-from datetime import date, datetime, timedelta, timezone
+from datetime import date
 from importlib import resources
 from pathlib import Path
-
-import numpy as np
 
 from . import analytics, pipeline
 from .config import RunConfig
 from .errors import ConfigError
-from .preprocess import aggregate_cross_exchange, filter_returns
 from .simulate import SimConfig, make_corpus
-from .tickstore import CsvSchema, TickStore, parse_iso_ns
+from .tickstore import CsvSchema, TickStore, parse_iso_ns, utc_date
 
 log = logging.getLogger("hfjumps")
 
@@ -42,13 +39,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _date(text: str) -> date:
     return date.fromisoformat(text)
-
-
-def _date_range(start: date, end: date) -> list[date]:
-    days = (end - start).days
-    if days < 0:
-        raise ConfigError("--to precedes --from")
-    return [start + timedelta(days=i) for i in range(days + 1)]
 
 
 def build_parser() -> _Parser:
@@ -167,23 +157,11 @@ def cmd_detect(args, cfg: RunConfig) -> int:
     store = TickStore(args.store)
     symbols = ([s.strip() for s in args.symbols.split(",") if s.strip()]
                if args.symbols else store.symbols())
-    if not symbols:
-        log.warning("store %s is empty; writing empty catalog", args.store)
-        Path(args.out).write_text("")
-        pipeline._write_manifest(args.out, cfg, 0, 0)
-        return EXIT_OK
-    all_days = sorted({d for s in symbols for d in store.days(s)})
-    if not all_days:
-        log.warning("no partitions for %s; writing empty catalog", symbols)
-        Path(args.out).write_text("")
-        pipeline._write_manifest(args.out, cfg, 0, 0)
-        return EXIT_OK
-    if args.date_from or args.date_to:
-        lo = args.date_from or all_days[0]
-        hi = args.date_to or all_days[-1]
-        days = [d for d in all_days if lo <= d <= hi]
-    else:
-        days = all_days
+    days = [d for d in sorted({d for s in symbols for d in store.days(s)})
+            if (args.date_from is None or d >= args.date_from)
+            and (args.date_to is None or d <= args.date_to)]
+    if not days:
+        log.warning("no stored days to detect; writing an empty catalog")
     out_dir = Path(args.out).parent
     summary = pipeline.run_range(store, symbols, days, cfg,
                                  catalog_path=args.out,
@@ -192,126 +170,16 @@ def cmd_detect(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _daily_returns_by_symbol(records: list[dict]) -> dict[str, list[float]]:
-    rows, _ = analytics.build_panel(records)
-    out: dict[str, list[float]] = {}
-    for r in rows:
-        out.setdefault(r.symbol, []).append(r.daily_return)
-    return out
-
-
 def cmd_analyze(args, cfg: RunConfig) -> int:
-    store = TickStore(args.store)
     records = pipeline.load_catalog(args.catalog)
+    hf_returns = pipeline.tested_returns(TickStore(args.store), records, cfg)
+    tables, dropped = analytics.build_tables(records, hf_returns)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    # high-frequency returns per symbol, re-derived from the store with the
-    # same preprocessing the detector saw
-    hf_stats: dict[str, analytics.SummaryStats] = {}
-    hf_all: list[np.ndarray] = []
-    for rec in records:
-        if not rec.get("tested"):
-            continue
-        day = store.slice(rec["symbol"], date.fromisoformat(rec["date"]))
-        series = aggregate_cross_exchange(day)
-        filtered, _ = filter_returns(series, sd_cutoff=cfg.sd_cutoff,
-                                     reversal=cfg.bounceback_reversal)
-        if len(filtered) >= 2:
-            hf_all.append((rec["symbol"], np.diff(filtered.log_prices)))
-    by_symbol: dict[str, list[np.ndarray]] = {}
-    for sym, r in hf_all:
-        by_symbol.setdefault(sym, []).append(r)
-    for sym, parts in sorted(by_symbol.items()):
-        hf_stats[sym] = analytics.summarize_returns(np.concatenate(parts))
-
-    _write_summary_csv(out / "returns_hf_summary.csv", hf_stats)
-    (out / "returns_hf_summary.txt").write_text(
-        analytics.render_summary_table(hf_stats) if hf_stats else "no tested days\n")
-    pooled_hf = (np.concatenate([r for _, r in hf_all])
-                 if hf_all else np.empty(0))
-    _write_extremes_csv(out / "extremes_hf.csv", analytics.count_extremes(pooled_hf))
-    (out / "extremes_hf.txt").write_text(
-        analytics.render_extremes_table(analytics.count_extremes(pooled_hf)))
-
-    # daily returns and the panel
-    panel, dropped = analytics.build_panel(records)
-    daily = _daily_returns_by_symbol(records)
-    daily_stats = {s: analytics.summarize_returns(np.array(v))
-                   for s, v in sorted(daily.items()) if len(v) >= 2}
-    _write_summary_csv(out / "returns_daily_summary.csv", daily_stats)
-    (out / "returns_daily_summary.txt").write_text(
-        analytics.render_summary_table(daily_stats) if daily_stats
-        else "insufficient daily history\n")
-    pooled_daily = (np.concatenate([np.array(v) for v in daily.values()])
-                    if daily else np.empty(0))
-    _write_extremes_csv(out / "extremes_daily.csv",
-                        analytics.count_extremes(pooled_daily))
-    (out / "extremes_daily.txt").write_text(
-        analytics.render_extremes_table(analytics.count_extremes(pooled_daily)))
-
-    # jump size distribution and seasonality
-    sizes, times = [], []
-    for rec in records:
-        for ev in rec.get("accepted_jumps") or []:
-            sizes.append(ev["size"])
-            times.append(ev["utc_timestamp_ns"])
-    if len(sizes) >= 2:
-        _write_summary_csv(out / "jump_size_summary.csv",
-                           {"all": analytics.summarize_returns(np.array(sizes))})
-    _write_extremes_csv(out / "extreme_jumps.csv",
-                        analytics.count_extremes(np.array(sizes) if sizes else
-                                                 np.empty(0),
-                                                 thresholds=(0.025, 0.05, 0.1, 0.2)))
-    weekday, hour = analytics.seasonality(times)
-    with open(out / "seasonality_weekday.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["weekday", "count"])
-        for i, name in enumerate(analytics.WEEKDAYS):
-            w.writerow([name, int(weekday[i])])
-    with open(out / "seasonality_hour.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["hour", "count"])
-        for h in range(24):
-            w.writerow([h, int(hour[h])])
-    (out / "seasonality.txt").write_text(
-        analytics.render_seasonality(weekday, hour))
-
-    # panel regressions, one column per dummy
-    with open(out / "panel.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["symbol", "date", "daily_return", "jump_dummy",
-                    "lagged_jump_dummy", "pos_jump_dummy", "neg_jump_dummy"])
-        for r in panel:
-            w.writerow([r.symbol, r.utc_date.isoformat(), repr(r.daily_return),
-                        r.jump_dummy, r.lagged_jump_dummy,
-                        r.pos_jump_dummy, r.neg_jump_dummy])
-    reg_txt = "insufficient panel variation for regression\n"
-    columns = {}
-    try:
-        columns = {
-            "Jumps (all)": analytics.fe_regression(panel, ("jump_dummy",)),
-            "Lagged jumps (all)": analytics.fe_regression(panel, ("lagged_jump_dummy",)),
-            "Jumps (pos.)": analytics.fe_regression(panel, ("pos_jump_dummy",)),
-            "Jumps (neg.)": analytics.fe_regression(panel, ("neg_jump_dummy",)),
-        }
-        reg_txt = analytics.render_regression_table(columns)
-    except Exception as exc:
-        log.warning("regression skipped: %s", exc)
-    (out / "regression.txt").write_text(reg_txt)
-    with open(out / "regression.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["column", "regressor", "coef", "se", "t", "p", "stars",
-                    "r2", "adj_r2", "nobs"])
-        for col, res in columns.items():
-            for i, name in enumerate(res.regressors):
-                w.writerow([col, name, repr(float(res.coef[i])),
-                            repr(float(res.se[i])), repr(float(res.t_stat[i])),
-                            repr(float(res.p_value[i])), res.stars[i],
-                            repr(res.r2), repr(res.adj_r2), res.nobs])
+    for table in tables:
+        _write_table(out, table)
     if dropped:
         (out / "panel_dropped.log").write_text("\n".join(dropped) + "\n")
-
     meta = {"config_hash": cfg.hash(), "n_records": len(records),
             "schema_version": pipeline.SCHEMA_VERSION}
     (out / "tables_manifest.json").write_text(json.dumps(meta, indent=1, sort_keys=True))
@@ -319,25 +187,12 @@ def cmd_analyze(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _write_summary_csv(path: Path, stats: dict[str, analytics.SummaryStats]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["name", "min", "q1", "median", "mean", "q3", "max",
-                    "skewness", "kurtosis", "n"])
-        for name in sorted(stats):
-            s = stats[name]
-            w.writerow([name, repr(s.min), repr(s.q1), repr(s.median), repr(s.mean),
-                        repr(s.q3), repr(s.max),
-                        "" if s.skewness is None else repr(s.skewness),
-                        "" if s.kurtosis is None else repr(s.kurtosis), s.n])
-
-
-def _write_extremes_csv(path: Path, counts) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["threshold", "n_below_minus", "n_above_plus"])
-        for c in counts:
-            w.writerow([c.threshold, c.n_below, c.n_above])
+def _write_table(out: Path, table: analytics.Table) -> None:
+    if table.rows is not None:
+        with open(out / f"{table.name}.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows([table.header, *table.rows])
+    if table.text is not None:
+        (out / f"{table.name}.txt").write_text(table.text)
 
 
 def _load_events(path: str | None) -> list[tuple[int, str]]:
@@ -371,7 +226,7 @@ def cmd_report(args, cfg: RunConfig) -> int:
         per_day[key] = per_day.get(key, 0) + len(rec.get("accepted_jumps") or [])
     event_days = {}
     for ts, label in events:
-        day = datetime.fromtimestamp(ts / 1e9, tz=timezone.utc).date().isoformat()
+        day = utc_date(ts).isoformat()
         event_days.setdefault(day, []).append(label)
     with open(out / "timeline.csv", "w", newline="") as fh:
         w = csv.writer(fh)

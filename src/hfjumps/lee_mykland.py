@@ -99,10 +99,6 @@ class LmMomentResult:
     xi: float
     is_jump: bool
 
-    @property
-    def jump_size(self) -> float:
-        return self.pbar if self.is_jump else 0.0
-
 
 @dataclass
 class LmDayResult:

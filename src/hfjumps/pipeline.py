@@ -13,6 +13,8 @@ import logging
 from dataclasses import dataclass, field
 from datetime import date
 
+import numpy as np
+
 from . import ajl, lee_mykland as lm
 from .config import RunConfig
 from .errors import DayRejected
@@ -32,7 +34,6 @@ class JumpEvent:
     size: float
     direction: str           # "positive" | "negative"
     xi: float
-    day_ajl_reject: bool = True
 
     def to_dict(self) -> dict:
         return {"utc_timestamp_ns": self.utc_timestamp_ns, "size": self.size,
@@ -110,8 +111,7 @@ def detect_day(series: AggregatedSeries, cfg: RunConfig,
         verdict.reason = "no_data"
         return verdict
 
-    filtered, removed = filter_returns(series, sd_cutoff=cfg.sd_cutoff,
-                                       reversal=cfg.bounceback_reversal)
+    filtered, removed = filter_day(series, cfg)
     verdict.removals = removed
     verdict.n_removed = len(removed)
     verdict.n_points = len(filtered)
@@ -176,11 +176,40 @@ def detect_day(series: AggregatedSeries, cfg: RunConfig,
     return verdict
 
 
+def load_day(store: TickStore, symbol: str, utc_date: date) -> AggregatedSeries:
+    """One stored symbol-day, aggregated across exchanges."""
+    return aggregate_cross_exchange(store.slice(symbol, utc_date))
+
+
+def filter_day(series: AggregatedSeries,
+               cfg: RunConfig) -> tuple[AggregatedSeries, list[RemovalRecord]]:
+    """The outlier filter at the run's settings; both tests see its output."""
+    return filter_returns(series, sd_cutoff=cfg.sd_cutoff,
+                          reversal=cfg.bounceback_reversal)
+
+
 def run_day(store: TickStore, symbol: str, utc_date: date, cfg: RunConfig,
             family_multiplier: int = 1) -> DayVerdict:
-    day = store.slice(symbol, utc_date)
-    series = aggregate_cross_exchange(day)
-    return detect_day(series, cfg, family_multiplier=family_multiplier)
+    return detect_day(load_day(store, symbol, utc_date), cfg,
+                      family_multiplier=family_multiplier)
+
+
+def tested_returns(store: TickStore, records: list[dict],
+                   cfg: RunConfig) -> dict[str, list[np.ndarray]]:
+    """Log returns of each tested catalog day, per symbol in catalog order.
+
+    The days are re-derived from the store with the preprocessing the
+    detector applied, so the tables describe the series the tests saw.
+    """
+    out: dict[str, list[np.ndarray]] = {}
+    for rec in records:
+        if not rec.get("tested"):
+            continue
+        series = load_day(store, rec["symbol"], date.fromisoformat(rec["date"]))
+        filtered, _ = filter_day(series, cfg)
+        if len(filtered) >= 2:
+            out.setdefault(rec["symbol"], []).append(np.diff(filtered.log_prices))
+    return out
 
 
 @dataclass
@@ -206,12 +235,6 @@ class RangeSummary:
                 row.n_test_days += 1
                 row.n_jumps += len(v.accepted_jumps)
         return [rows[s] for s in sorted(rows)]
-
-    def events(self) -> list[JumpEvent]:
-        out = []
-        for v in self.verdicts:
-            out.extend(v.accepted_jumps)
-        return out
 
 
 def render_symbol_summary(rows: list[SymbolSummary]) -> str:

@@ -15,7 +15,7 @@ import json
 import logging
 import re
 from dataclasses import dataclass, field
-from datetime import date, datetime, timedelta, timezone
+from datetime import date, datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -62,28 +62,6 @@ def parse_epoch_ns(text: str) -> int:
     return int(t)
 
 
-@dataclass(frozen=True)
-class Tick:
-    """One observed trade."""
-
-    timestamp_ns: int
-    exchange: str
-    symbol: str
-    price: float
-
-    def __post_init__(self):
-        if not (self.price > 0):
-            raise ValueError("price must be strictly positive")
-
-    @property
-    def utc_date(self) -> date:
-        return (datetime(1970, 1, 1, tzinfo=timezone.utc)
-                + timedelta(seconds=self.timestamp_ns // 10 ** 9)).date()
-
-    def sort_key(self):
-        return (self.symbol, self.timestamp_ns, self.exchange)
-
-
 @dataclass
 class SymbolDaySlice:
     """All ticks of one symbol on one UTC day, time-sorted, all exchanges."""
@@ -122,9 +100,12 @@ class IngestReport:
     already_ingested: bool = False
 
 
-def _partition_date(ts_ns: int) -> date:
-    return (datetime(1970, 1, 1, tzinfo=timezone.utc)
-            + timedelta(seconds=ts_ns // 10 ** 9)).date()
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+
+
+def utc_date(ts_ns: int) -> date:
+    """UTC calendar day of an epoch-ns timestamp, in exact integer arithmetic."""
+    return date.fromordinal(_EPOCH_ORDINAL + ts_ns // DAY_NS)
 
 
 class TickStore:
@@ -214,7 +195,7 @@ class TickStore:
                     report.rejected += 1
                     report.reject_log.append((lineno, "missing field"))
                     continue
-                buckets.setdefault((sym, _partition_date(ts)), []).append((ts, exch, price))
+                buckets.setdefault((sym, utc_date(ts)), []).append((ts, exch, price))
                 report.accepted += 1
 
         for (sym, day), rows in sorted(buckets.items()):

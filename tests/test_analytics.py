@@ -4,12 +4,13 @@ from datetime import date, datetime, timezone
 import numpy as np
 import pytest
 
-from hfjumps.analytics import (PanelRow, build_panel, count_extremes,
+from hfjumps.analytics import (PanelRow, build_panel, build_tables, count_extremes,
                                fe_regression, render_extremes_table,
                                render_regression_table, render_summary_table,
                                seasonality, significance_stars,
                                summarize_returns)
 from hfjumps.errors import NoVariationError
+from hfjumps.tickstore import parse_iso_ns
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +121,18 @@ def test_seasonality_single_event():
     assert hour[14] == 1 and hour.sum() == 1
 
 
+def test_seasonality_last_nanosecond_before_midnight():
+    # 2021-01-01 is a Friday; as float seconds this instant rounds to Sat 00:00
+    weekday, hour = seasonality([parse_iso_ns("2021-01-01T23:59:59.999999999Z")])
+    assert weekday[4] == 1 and weekday.sum() == 1
+    assert hour[23] == 1 and hour.sum() == 1
+
+
+def test_seasonality_no_events():
+    weekday, hour = seasonality([])
+    assert weekday.tolist() == [0] * 7 and hour.tolist() == [0] * 24
+
+
 def test_seasonality_uniform_hours():
     events = [ts_ns(2021, 3, 3, h) for h in range(24)]
     _, hour = seasonality(events)
@@ -169,6 +182,59 @@ def test_build_panel_lag_and_drop_rules():
     # mixed-sign day sets both sign dummies
     assert (r5.jump_dummy, r5.pos_jump_dummy, r5.neg_jump_dummy) == (1, 1, 1)
     assert r5.lagged_jump_dummy == 1
+
+
+# ---------------------------------------------------------------------------
+# build_tables
+# ---------------------------------------------------------------------------
+
+def two_symbol_records(jump_days):
+    """Two symbols over six days; ``jump_days`` maps day index to jump sizes."""
+    recs = []
+    for sym, drift in (("BTC", 0.01), ("ETH", -0.02)):
+        close = 4.0
+        for i in range(6):
+            jumps = jump_days.get(i, ())
+            close += drift + 0.5 * sum(jumps) + 0.003 * (i % 3)
+            recs.append(day_record(sym, f"2021-03-0{i + 1}", close=close, jumps=jumps))
+    return recs
+
+
+def tables_by_name(recs, hf=None):
+    tables, dropped = build_tables(recs, hf or {})
+    return {t.name: t for t in tables}, dropped
+
+
+def test_build_tables_positive_jumps_only_keeps_three_regression_columns():
+    tables, _ = tables_by_name(two_symbol_records({1: (0.02,), 3: (0.05,), 4: (0.01,)}))
+    reg = tables["regression"]
+    assert [row[0] for row in reg.rows] == ["Jumps (all)", "Lagged jumps (all)",
+                                            "Jumps (pos.)"]
+    assert "Jumps (pos.)" in reg.text and "Jumps (neg.)" not in reg.text
+
+
+def test_build_tables_regression_text_when_every_column_fails():
+    recs = [r for r in two_symbol_records({2: (0.03,)}) if r["symbol"] == "BTC"]
+    tables, dropped = tables_by_name(recs)
+    assert tables["regression"].rows == []
+    assert tables["regression"].text == "insufficient panel variation for regression\n"
+    assert dropped == ["BTC 2021-03-01: previous day untested"]
+
+
+def test_build_tables_file_set_and_fallbacks():
+    recs = two_symbol_records({2: (0.03,)})
+    for r in recs[6:]:
+        r["accepted_jumps"] = []                      # a single jump, on BTC
+    tables, _ = tables_by_name(recs)
+    assert "jump_size_summary" not in tables
+    assert tables["returns_hf_summary"].rows == []
+    assert tables["returns_hf_summary"].text == "no tested days\n"
+    assert tables["seasonality"].rows is None and tables["seasonality"].text
+    assert tables["panel"].text is None and len(tables["panel"].rows) == 10
+    hf = {"BTC": [np.array([0.01, -0.02]), np.array([0.003])]}
+    tables, _ = tables_by_name(two_symbol_records({2: (0.03, -0.01)}), hf)
+    assert tables["returns_hf_summary"].rows[0][-1] == 3
+    assert [r[0] for r in tables["jump_size_summary"].rows] == ["all"]
 
 
 # ---------------------------------------------------------------------------

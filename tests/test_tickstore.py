@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hfjumps.tickstore import (CsvSchema, Tick, TickStore, parse_epoch_ns,
-                               parse_iso_ns)
+from hfjumps.tickstore import (CsvSchema, TickStore, parse_epoch_ns,
+                               parse_iso_ns, utc_date)
 
 DAY_NS = 86_400 * 10 ** 9
 T0 = 1_614_556_800_000_000_000   # 2021-03-01T00:00:00Z
@@ -47,11 +47,11 @@ def test_parse_epoch_ns():
         parse_epoch_ns("12.5")
 
 
-def test_tick_price_invariant():
-    with pytest.raises(ValueError):
-        Tick(T0, "X", "BTC", 0.0)
-    with pytest.raises(ValueError):
-        Tick(T0, "X", "BTC", -1.0)
+def test_utc_date_last_nanosecond_of_day():
+    # 1 ns before midnight is below the float spacing of 256 ns at this epoch
+    assert utc_date(parse_iso_ns("2021-01-01T23:59:59.999999999Z")) == date(2021, 1, 1)
+    assert utc_date(parse_iso_ns("2021-01-02T00:00:00Z")) == date(2021, 1, 2)
+    assert utc_date(T0 - 1) == date(2021, 2, 28)
 
 
 # ---------------------------------------------------------------------------
