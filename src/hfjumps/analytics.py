@@ -238,8 +238,13 @@ def fe_regression(rows: list[PanelRow], regressors=("jump_dummy",)) -> Regressio
     adj = 1.0 - (1.0 - r2) * (n - 1) / df_resid if df_resid > 0 else float("nan")
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(se > 0, beta / se, np.where(beta == 0, 0.0, np.inf * np.sign(beta)))
-    p = np.where(np.isinf(t), 0.0,
-                 2.0 * sstats.t.sf(np.abs(t), df=max(df_resid, 1)))
+    p = 2.0 * sstats.t.sf(np.abs(t), df=max(df_resid, 1))
+    # The sandwich sees only rows whose regressors vary within their symbol; fitted
+    # exactly with at most one spare degree of freedom, they leave t and p undefined.
+    varies = np.any(Xt != 0.0, axis=1)
+    if (varies.sum() - len(np.unique(gi[varies])) - k <= 1
+            and resid[varies] @ resid[varies] <= 1e-24 * (yt[varies] @ yt[varies])):
+        t = p = np.full(k, np.nan)
     return RegressionResult(
         regressors=regressors, coef=beta, se=se, t_stat=t, p_value=p,
         stars=tuple(significance_stars(float(pi)) for pi in p),

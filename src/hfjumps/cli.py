@@ -128,7 +128,11 @@ def cmd_ingest(args) -> int:
                        symbol=args.col_symbol, price=args.col_price)
     total_acc = total_rej = 0
     for path in args.csv:
-        rep = store.ingest_csv(path, schema)
+        try:
+            rep = store.ingest_csv(path, schema)
+        except ValueError as exc:             # a column missing: a --col-* flag fixes it
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         total_acc += rep.accepted
         total_rej += rep.rejected
         print(f"{path}: accepted={rep.accepted} rejected={rep.rejected}"

@@ -1,9 +1,9 @@
 """Tick ingestion and partitioned storage.
 
 Raw trades arrive as CSV (one row per tick: timestamp, exchange, symbol,
-price) and are persisted into per-(symbol, UTC day) partitions, one flat
-CSV file each.  Partitions are append-only and immutable once written;
-day slices can be read concurrently.  Timestamps are stored as integer
+price) and are persisted per (symbol, UTC day), one immutable ``.npz``
+file for each source file that touches the day, written under a
+temporary name and renamed into place.  Timestamps are stored as integer
 epoch nanoseconds; input may be ISO-8601 UTC or epoch nanoseconds
 (auto-detected per file, the detection is logged).
 """
@@ -13,6 +13,7 @@ import csv
 import hashlib
 import json
 import logging
+import os
 import re
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
@@ -108,49 +109,68 @@ def utc_date(ts_ns: int) -> date:
     return date.fromordinal(_EPOCH_ORDINAL + ts_ns // DAY_NS)
 
 
+def _row_fields(row: dict, schema: CsvSchema) -> tuple[str, str, float] | str:
+    """A row's (symbol, exchange, price), or the reason the row is rejected."""
+    try:
+        price = float(row[schema.price])
+    except (ValueError, TypeError, KeyError):
+        return "bad price"
+    if not np.isfinite(price) or price <= 0:
+        return "non-positive price"
+    sym = (row.get(schema.symbol) or "").strip()
+    exch = (row.get(schema.exchange) or "").strip()
+    if not sym or not exch:
+        return "missing field"
+    if sym in (".", "..") or "/" in sym or "\\" in sym:
+        return "bad symbol"      # the symbol names a directory of the store
+    return sym, exch, price
+
+
+def _write_replacing(path: Path, write) -> None:
+    """Write ``path`` in a temporary file renamed over it: all or nothing."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as fh:
+        write(fh)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+
+
 class TickStore:
-    """Partitioned flat-file tick store.
+    """Tick store of immutable per-source files.
 
     Layout::
 
         root/
-          manifest.json                 source-file hashes and counts
-          ticks/<SYMBOL>/<YYYY-MM-DD>.csv   ts_ns,exchange,price
+          ticks/<SYMBOL>/<YYYY-MM-DD>/<source sha256>.npz   ts, exchange, price
+          sources/<source sha256>.json     accepted, rejected, timestamp_format
 
-    Duplicate rows are kept (simultaneity is resolved at aggregation
-    time), but re-ingesting a file whose content was already ingested
-    is a no-op returning the recorded counts.  Ingestion is the single
-    writer per partition; slices are immutable afterwards.
+    A source's record is written after all of its partition files, so it
+    marks a completed ingest: re-ingesting the same content is a no-op
+    returning the recorded counts.  An ingest that dies before its record
+    is written is redone by a retry, which rewrites the same files, so no
+    row is stored twice.  Duplicate rows are kept (simultaneity is
+    resolved at aggregation time).
     """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        (self.root / "ticks").mkdir(exist_ok=True)
-        self._manifest_path = self.root / "manifest.json"
-
-    # -- manifest -----------------------------------------------------
-    def _load_manifest(self) -> dict:
-        if self._manifest_path.exists():
-            return json.loads(self._manifest_path.read_text())
-        return {"version": 1, "sources": {}}
-
-    def _save_manifest(self, manifest: dict) -> None:
-        self._manifest_path.write_text(json.dumps(manifest, indent=1, sort_keys=True))
+        if (self.root / "manifest.json").exists():
+            raise OSError(f"{self.root} holds a tick store in the old CSV layout "
+                          "(manifest.json); ingest the source CSVs into a new store")
+        (self.root / "ticks").mkdir(parents=True, exist_ok=True)
 
     # -- ingestion ----------------------------------------------------
     def ingest_csv(self, path: str | Path, schema: CsvSchema = CsvSchema()) -> IngestReport:
         """Ingest one CSV file; row-level failures reject the row, not the file."""
         path = Path(path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        manifest = self._load_manifest()
-        prior = manifest["sources"].get(digest)
-        if prior is not None:
+        record_path = self.root / "sources" / f"{digest}.json"
+        if record_path.exists():
             log.info("ingest %s: already ingested (hash match), skipping", path)
-            return IngestReport(source=str(path), accepted=prior["accepted"],
-                                rejected=prior["rejected"],
-                                timestamp_format=prior["timestamp_format"],
-                                already_ingested=True)
+            return IngestReport(source=str(path), already_ingested=True,
+                                **json.loads(record_path.read_text()))
 
         report = IngestReport(source=str(path))
         parse_ts = None
@@ -175,87 +195,57 @@ class TickStore:
                         log.info("ingest %s: detected %s timestamps",
                                  path, report.timestamp_format)
                     ts = parse_ts(raw_ts)
+                    if not -2 ** 63 <= ts < 2 ** 63:
+                        raise ValueError(f"{raw_ts!r} is beyond int64 nanoseconds")
                 except (ValueError, KeyError, TypeError):
+                    fields = "bad timestamp"
+                else:
+                    fields = _row_fields(row, schema)
+                if isinstance(fields, str):
                     report.rejected += 1
-                    report.reject_log.append((lineno, "bad timestamp"))
+                    report.reject_log.append((lineno, fields))
                     continue
-                try:
-                    price = float(row[schema.price])
-                except (ValueError, TypeError, KeyError):
-                    report.rejected += 1
-                    report.reject_log.append((lineno, "bad price"))
-                    continue
-                if not np.isfinite(price) or price <= 0:
-                    report.rejected += 1
-                    report.reject_log.append((lineno, "non-positive price"))
-                    continue
-                sym = (row.get(schema.symbol) or "").strip()
-                exch = (row.get(schema.exchange) or "").strip()
-                if not sym or not exch:
-                    report.rejected += 1
-                    report.reject_log.append((lineno, "missing field"))
-                    continue
+                sym, exch, price = fields
                 buckets.setdefault((sym, utc_date(ts)), []).append((ts, exch, price))
                 report.accepted += 1
 
         for (sym, day), rows in sorted(buckets.items()):
-            part = self._partition_path(sym, day)
-            part.parent.mkdir(parents=True, exist_ok=True)
-            new = not part.exists()
-            with open(part, "a", newline="") as fh:
-                w = csv.writer(fh)
-                if new:
-                    w.writerow(["ts_ns", "exchange", "price"])
-                for ts, exch, price in rows:
-                    w.writerow([ts, exch, repr(price)])
-
-        manifest["sources"][digest] = {
-            "path": str(path),
-            "accepted": report.accepted,
-            "rejected": report.rejected,
-            "timestamp_format": report.timestamp_format,
-        }
-        self._save_manifest(manifest)
+            ts, exch, price = zip(*rows)
+            _write_replacing(self._day_dir(sym, day) / f"{digest}.npz", lambda fh: np.savez(
+                fh, ts=np.array(ts, dtype=np.int64), exchange=np.array(exch),
+                price=np.array(price)))
+        record = {"accepted": report.accepted, "rejected": report.rejected,
+                  "timestamp_format": report.timestamp_format}
+        _write_replacing(record_path, lambda fh: fh.write(
+            json.dumps(record, indent=1, sort_keys=True).encode()))
         if report.rejected:
             log.warning("ingest %s: rejected %d rows", path, report.rejected)
         return report
 
     # -- reads --------------------------------------------------------
-    def _partition_path(self, symbol: str, day: date) -> Path:
-        return self.root / "ticks" / symbol / f"{day.isoformat()}.csv"
+    def _day_dir(self, symbol: str, day: date) -> Path:
+        return self.root / "ticks" / symbol / day.isoformat()
 
     def slice(self, symbol: str, utc_date: date) -> SymbolDaySlice:
         """Return the time-sorted symbol-day slice; empty if never ingested.
 
         A missing partition is a normal empty day, distinct from an
-        unreadable store (which raises OSError).
+        unreadable store (which raises OSError).  Rows sharing a (timestamp,
+        exchange) pair keep their file order, files their digest order.
         """
-        part = self._partition_path(symbol, utc_date)
-        if not part.exists():
-            return SymbolDaySlice(symbol, utc_date, np.empty(0, dtype=np.int64),
-                                  [], np.empty(0))
-        ts, exch, price = [], [], []
-        with open(part, newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            for row in reader:
-                ts.append(int(row[0]))
-                exch.append(row[1])
-                price.append(float(row[2]))
-        order = np.lexsort((np.array(exch), np.array(ts, dtype=np.int64)))
-        return SymbolDaySlice(
-            symbol, utc_date,
-            np.array(ts, dtype=np.int64)[order],
-            [exch[i] for i in order],
-            np.array(price)[order],
-        )
+        parts = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=str), np.empty(0))]
+        for part in sorted(self._day_dir(symbol, utc_date).glob("*.npz")):
+            with np.load(part) as z:
+                parts.append((z["ts"], z["exchange"], z["price"]))
+        ts, exch, price = (np.concatenate(col) for col in zip(*parts))
+        order = np.lexsort((exch, ts))
+        return SymbolDaySlice(symbol, utc_date, ts[order], exch[order].tolist(),
+                              price[order])
 
     def symbols(self) -> list[str]:
         base = self.root / "ticks"
         return sorted(p.name for p in base.iterdir() if p.is_dir())
 
     def days(self, symbol: str) -> list[date]:
-        base = self.root / "ticks" / symbol
-        if not base.exists():
-            return []
-        return sorted(date.fromisoformat(p.stem) for p in base.glob("*.csv"))
+        parts = (self.root / "ticks" / symbol).glob("*/*.npz")
+        return sorted({date.fromisoformat(p.parent.name) for p in parts})

@@ -263,6 +263,21 @@ def test_fe_regression_exact_noiseless():
     assert res.r2 == pytest.approx(1.0, abs=1e-12)
 
 
+def test_fe_regression_exact_fit_of_a_tiny_panel_has_no_stars():
+    def panel(b_jump):
+        return [PanelRow(sym, date(2021, 1, 1 + d), ret, jump, 0, jump, 0)
+                for sym, d, ret, jump in (("A", 0, 0.1, 1), ("A", 1, -0.1, 0),
+                                          ("B", 0, 0.3, b_jump), ("B", 1, 0.1, 0))]
+    # the dummy varies in both symbols, whose slopes agree; or in A alone
+    for rows in (panel(1), panel(0)):
+        res = fe_regression(rows, ("jump_dummy",))
+        assert res.coef[0] == pytest.approx(0.2, abs=1e-12)
+        assert res.se[0] == pytest.approx(0.0, abs=1e-12)
+        assert np.isnan(res.t_stat[0]) and np.isnan(res.p_value[0])
+        assert res.stars == ("",)
+        assert render_regression_table({"Jumps (all)": res}).splitlines()[1].endswith(" 0.200")
+
+
 def hc0_oracle(rows, name):
     """Literal matrix formula with an explicit diagonal weight matrix."""
     symbols = sorted({r.symbol for r in rows})

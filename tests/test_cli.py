@@ -39,6 +39,24 @@ def test_missing_csv_exit_2(tmp_path):
                "--csv", str(tmp_path / "absent.csv")) == 2
 
 
+def test_ingest_missing_column_exit_1(tmp_path, capsys):
+    path = tmp_path / "ticks.csv"
+    path.write_text("time,exchange,price\n1614556800000000000,A,100.0\n")
+    assert run("ingest", "--store", str(tmp_path / "s"), "--csv", str(path)) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: column 'symbol' not found in {path}\n"
+
+
+def test_detect_on_old_csv_store_exit_2(tmp_path, capsys):
+    store = tmp_path / "store"
+    (store / "ticks" / "BTC").mkdir(parents=True)
+    (store / "ticks" / "BTC" / "2021-03-01.csv").write_text("ts_ns,exchange,price\n")
+    (store / "manifest.json").write_text('{"sources": {}, "version": 1}')
+    assert run("detect", "--store", str(store), "--out", str(tmp_path / "c.jsonl")) == 2
+    assert "ingest the source CSVs into a new store" in capsys.readouterr().err
+    assert not (tmp_path / "c.jsonl").exists()
+
+
 def test_simulate_deterministic_bytes(tmp_path):
     o1, o2 = tmp_path / "c1", tmp_path / "c2"
     for out in (o1, o2):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hfjumps import tickstore
 from hfjumps.tickstore import (CsvSchema, TickStore, parse_epoch_ns,
                                parse_iso_ns, utc_date)
 
@@ -114,6 +115,30 @@ def test_ingest_custom_schema(tmp_path):
     assert rep.accepted == 1
 
 
+def test_ingest_rejects_symbols_naming_other_directories(tmp_path):
+    bad = ["../../escaped", ".", "..", "a/b", "a\\b"]
+    path = tmp_path / "in.csv"
+    write_csv(path, [[T0, "A", sym, "100.0"] for sym in bad] + [[T0, "A", "BTC", "100.0"]])
+    store = TickStore(tmp_path / "work" / "store")
+    rep = store.ingest_csv(path)
+    assert (rep.accepted, rep.rejected) == (1, len(bad))
+    assert rep.reject_log == [(line, "bad symbol") for line in range(2, 2 + len(bad))]
+    assert store.symbols() == ["BTC"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv", "work"]
+    assert [p.name for p in (tmp_path / "work").iterdir()] == ["store"]
+
+
+def test_ingest_rejects_timestamps_beyond_int64_ns(tmp_path):
+    path = tmp_path / "in.csv"
+    write_csv(path, [["2021-03-01T00:00:00Z", "A", "BTC", "100.0"],
+                     ["2300-01-01T00:00:00Z", "A", "BTC", "100.0"]])
+    store = TickStore(tmp_path / "store")
+    rep = store.ingest_csv(path)
+    assert (rep.accepted, rep.rejected) == (1, 1)
+    assert rep.reject_log == [(3, "bad timestamp")]
+    assert store.days("BTC") == [date(2021, 3, 1)]
+
+
 def test_ingest_missing_column_fails_fast(tmp_path):
     path = tmp_path / "in.csv"
     write_csv(path, [[T0, "A", "100.0"]], header=("time", "exchange", "price"))
@@ -149,9 +174,9 @@ def test_slice_missing_day_is_empty_not_error(tmp_path):
 
 def test_unreadable_store_raises_oserrors(tmp_path):
     store = TickStore(tmp_path / "store")
-    part = tmp_path / "store" / "ticks" / "BTC"
+    part = tmp_path / "store" / "ticks" / "BTC" / "2021-03-01"
     part.mkdir(parents=True)
-    (part / "2021-03-01.csv").mkdir()        # a directory where a file belongs
+    (part / f"{'0' * 64}.npz").mkdir()       # a directory where a file belongs
     with pytest.raises(OSError):
         store.slice("BTC", date(2021, 3, 1))
 
@@ -168,6 +193,50 @@ def test_midnight_straddle_splits_by_day(tmp_path):
     d2 = store.slice("BTC", date(2021, 3, 2))
     assert len(d1) == 1 and len(d2) == 2
     assert d1.timestamps_ns[0] == T0 + DAY_NS - 10 ** 9
+
+
+def test_interrupted_ingest_retry_stores_each_row_once(tmp_path, monkeypatch):
+    rows = [[T0 + i * 10 ** 9, "A", "BTC", "100.0"] for i in range(3)]
+    rows += [[T0 + DAY_NS + i * 10 ** 9, "A", "BTC", "101.0"] for i in range(5)]
+    path = tmp_path / "in.csv"
+    write_csv(path, rows)
+    store = TickStore(tmp_path / "store")
+    write = tickstore._write_replacing
+    calls = []
+
+    def second_write_fails(target, fill):
+        calls.append(target)
+        if len(calls) == 2:                  # dies with its temporary file half written
+            target.with_name(target.name + ".tmp").write_bytes(b"PK\x03\x04")
+            raise OSError("disk full")
+        write(target, fill)
+
+    monkeypatch.setattr(tickstore, "_write_replacing", second_write_fails)
+    with pytest.raises(OSError):
+        store.ingest_csv(path)
+    monkeypatch.setattr(tickstore, "_write_replacing", write)
+    assert store.days("BTC") == [date(2021, 3, 1)]       # the first day landed
+    rep = store.ingest_csv(path)
+    assert (rep.accepted, rep.already_ingested) == (8, False)
+    d1 = store.slice("BTC", date(2021, 3, 1))
+    d2 = store.slice("BTC", date(2021, 3, 2))
+    assert list(d1.timestamps_ns) == [T0 + i * 10 ** 9 for i in range(3)]
+    assert list(d2.timestamps_ns) == [T0 + DAY_NS + i * 10 ** 9 for i in range(5)]
+    assert store.ingest_csv(path).already_ingested
+
+
+def test_two_sources_one_day_hold_their_union(tmp_path):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_csv(a, [[T0 + 2 * 10 ** 9, "B", "BTC", "100.0"], [T0, "A", "BTC", "101.0"]])
+    write_csv(b, [[T0 + 10 ** 9, "A", "BTC", "102.0"], [T0, "B", "BTC", "103.0"]])
+    store = TickStore(tmp_path / "store")
+    assert store.ingest_csv(a).accepted == 2 and store.ingest_csv(b).accepted == 2
+    day = store.slice("BTC", date(2021, 3, 1))
+    assert list(day.timestamps_ns) == [T0, T0, T0 + 10 ** 9, T0 + 2 * 10 ** 9]
+    assert day.exchanges == ["A", "B", "A", "B"]
+    assert list(day.prices) == [101.0, 103.0, 102.0, 100.0]
+    assert store.ingest_csv(a).already_ingested and store.ingest_csv(b).already_ingested
+    assert len(store.slice("BTC", date(2021, 3, 1))) == 4
 
 
 def test_duplicate_rows_are_kept(tmp_path):
