@@ -28,18 +28,28 @@ a seeded local Monte Carlo under the null instead: simulate continuous
 noisy paths at the day's estimated noise-to-volatility ratio and
 length, and take the sample standard deviation of S_RJ across paths
 (divided by Delta_n^{1/4} to match the critical-value scaling).
+
+Both window sums are correlations of the returns (and of their squares)
+with a fixed weight, computed with numpy's real FFT.  A chunk of paths
+is transformed once, zero-padded to the smallest 5-smooth length
+``L >= N``; each weight then costs one pointwise product and one inverse
+transform per quantity.  A circular correlation at ``L >= N`` never
+wraps on the complete windows, which are the only ones kept, so it is
+exact up to rounding.  The module needs nothing beyond numpy and the
+standard library.
 """
 from __future__ import annotations
 
 import hashlib
 import logging
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb, sqrt
+from statistics import NormalDist
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, signal, stats
+from numpy.polynomial.legendre import leggauss
 
 from .errors import ConfigError, DayRejected
 
@@ -49,6 +59,9 @@ logger = logging.getLogger(__name__)
 # ---------------------------------------------------------------------------
 # weight functions and their moments
 # ---------------------------------------------------------------------------
+
+_GAUSS_NODES = 16     # per piece: exact for polynomial pieces of degree < 32
+
 
 @dataclass
 class WeightFunction:
@@ -71,15 +84,20 @@ class WeightFunction:
         return self.func(np.asarray(s, dtype=float))
 
     def moment(self, r: int) -> float:
-        """``int_0^1 |g(s)|^r ds`` by adaptive quadrature to 1e-10."""
+        """``int_0^1 |g(s)|^r ds`` by Gauss-Legendre on each smooth piece.
+
+        The pieces are split at ``quad_points``; the rule is exact where
+        ``|g|^r`` is a polynomial of degree < 2 * _GAUSS_NODES on each piece,
+        as for the built-in weights up to r = 15.
+        """
         if r not in self._moments:
-            val, err = integrate.quad(
-                lambda s: abs(float(self.func(np.array([s]))[0])) ** r,
-                0.0, 1.0, points=list(self.quad_points) or None,
-                epsabs=1e-12, epsrel=1e-12, limit=200)
-            if err > 1e-10:
-                raise RuntimeError(f"moment({r}) of {self.name}: quadrature error {err}")
-            self._moments[r] = val
+            x, wts = leggauss(_GAUSS_NODES)
+            edges = (0.0, *self.quad_points, 1.0)
+            total = 0.0
+            for a, b in zip(edges, edges[1:]):
+                s = 0.5 * (b - a) * x + 0.5 * (a + b)
+                total += 0.5 * (b - a) * float(np.dot(wts, np.abs(self.func(s)) ** r))
+            self._moments[r] = total
         return self._moments[r]
 
     def grid_weights(self, k_n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -161,20 +179,48 @@ def rho_residuals(p: int, rho: np.ndarray) -> np.ndarray:
 # robust power variation
 # ---------------------------------------------------------------------------
 
-def _power_variation(d: np.ndarray, d2: np.ndarray, w: WeightFunction, p: int,
-                     k_n: int, rho: np.ndarray) -> np.ndarray:
-    """Vbar of each row of ``d`` (rows x returns); ``d2`` is ``d * d``.
+def _fast_len(n: int) -> int:
+    """Smallest 5-smooth integer >= n: an FFT length pocketfft handles fast."""
+    best = 1 << max(n - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            m = p35
+            while m < n:
+                m *= 2
+            best = min(best, m)
+            p35 *= 3
+        p5 *= 5
+    return best
 
-    The caller squares the returns once and reuses them for both weights.
+
+def _power_variations(d: np.ndarray, weights: tuple[WeightFunction, ...], p: int,
+                      k_n: int, rho: np.ndarray) -> np.ndarray:
+    """Vbar of each row of ``d`` (rows x returns) for each weight.
+
+    Returns an array of shape (len(weights), rows).  The forward
+    transforms of the returns and of their squares are shared by all
+    weights.
     """
-    wj, wp = w.grid_weights(k_n)
-    n_win = d.shape[1] - k_n + 1
-    ybar = signal.oaconvolve(d, wj[::-1][None, :], mode="valid", axes=1)[:, :n_win]
-    yhat = signal.oaconvolve(d2, (wp * wp)[::-1][None, :], mode="valid", axes=1)
-    acc = np.zeros(len(d))
-    for l in range(p // 2 + 1):
-        acc += rho[l] * np.sum(np.abs(ybar) ** (p - 2 * l) * yhat ** l, axis=1)
-    return acc
+    N = d.shape[1]
+    L = _fast_len(N)
+    n_win = N - k_n + 1
+    half = p // 2
+    fd = np.fft.rfft(d, L, axis=1)
+    fd2 = np.fft.rfft(d * d, L, axis=1)
+    out = np.zeros((len(weights), len(d)))
+    for i, w in enumerate(weights):
+        wj, wp = w.grid_weights(k_n)
+        # correlation sum_j w_j d_{t+j} = irfft(F(d) * conj(F(w))) at t < n_win
+        y2 = np.square(np.fft.irfft(fd * np.conj(np.fft.rfft(wj, L)), L, axis=1)[:, :n_win])
+        yhat = np.fft.irfft(fd2 * np.conj(np.fft.rfft(wp * wp, L)), L, axis=1)[:, :n_win]
+        for l in range(half + 1):
+            # |ybar|^(p-2l) * yhat^l as a product of p/2 >= 2 factors
+            term = reduce(np.multiply, [y2] * (half - l) + [yhat] * l)
+            out[i] += rho[l] * np.sum(term, axis=1)
+        del y2, yhat, term   # free before the next weight's transforms
+    return out
 
 
 def vbar(returns: np.ndarray, w: WeightFunction, p: int = 4, k_n: int = 100,
@@ -190,7 +236,7 @@ def vbar(returns: np.ndarray, w: WeightFunction, p: int = 4, k_n: int = 100,
         raise DayRejected("ajl_short", f"{N} returns < k_n={k_n}")
     if rho is None:
         rho = solve_rho(p)
-    return float(_power_variation(d, d * d, w, p, k_n, rho)[0])
+    return float(_power_variations(d, (w,), p, k_n, rho)[0, 0])
 
 
 def vbar_reference(returns: np.ndarray, w: WeightFunction, p: int = 4,
@@ -316,9 +362,7 @@ def _null_srj_std(n_prices: int, k_n: int, p: int, g_name: str, h_name: str,
         d = rng.standard_normal((m, n_ret)) * (sig / sqrt(n_prices))
         if q > 0:
             d += np.diff(rng.standard_normal((m, n_prices)) * q, axis=1)
-        d2 = d * d
-        v_g = _power_variation(d, d2, g, p, k_n, rho)
-        v_h = _power_variation(d, d2, h, p, k_n, rho)
+        v_g, v_h = _power_variations(d, (g, h), p, k_n, rho)
         stats_out[pos:pos + m] = v_g / (gamma_prime * v_h)
         pos += m
     good = np.isfinite(stats_out)
@@ -371,8 +415,8 @@ def ajl_test(log_prices: np.ndarray, params: AjlParams,
         raise DayRejected("ajl_short", f"{n} observations < 2*k_n={2 * params.k_n}")
     d = np.diff(lp)
     rho = solve_rho(params.p)
-    v_g = vbar(d, params.g, params.p, params.k_n, rho)
-    v_h = vbar(d, params.h, params.p, params.k_n, rho)
+    v_g, v_h = _power_variations(d[None, :], (params.g, params.h),
+                                 params.p, params.k_n, rho)[:, 0]
     if v_h <= 0 or v_g <= 0:
         raise DayRejected("ajl_flat", "non-positive power variation (flat day)")
     s_rj = v_g / (params.gamma_prime * v_h)
@@ -382,7 +426,7 @@ def ajl_test(log_prices: np.ndarray, params: AjlParams,
                               ratio_key, params.sigma_rj_paths, params.base_seed)
     delta_n = 1.0 / n
     sqrt_sigma_rj = std / delta_n ** 0.25
-    z = float(stats.norm.ppf(params.alpha))
+    z = NormalDist().inv_cdf(params.alpha)
     critical = params.gamma_dprime - z * delta_n ** 0.25 * sqrt_sigma_rj
     return AjlDayResult(
         s_rj=float(s_rj), gamma_dprime=params.gamma_dprime,

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from datetime import date
 
 import numpy as np
-from scipy import stats as sstats
 
 from .errors import HfJumpsError, NoVariationError
 from .tickstore import DAY_NS
@@ -199,6 +198,7 @@ def fe_regression(rows: list[PanelRow], regressors=("jump_dummy",)) -> Regressio
     R^2 is computed on the demeaned totals and the adjustment charges
     the absorbed group means: ``1 - (1-R2)(N-1)/(N-K-G)``.
     """
+    from scipy import stats    # here, not at module level: it adds ~0.5 s to start-up
     if isinstance(regressors, str):
         regressors = (regressors,)
     regressors = tuple(regressors)
@@ -238,7 +238,7 @@ def fe_regression(rows: list[PanelRow], regressors=("jump_dummy",)) -> Regressio
     adj = 1.0 - (1.0 - r2) * (n - 1) / df_resid if df_resid > 0 else float("nan")
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(se > 0, beta / se, np.where(beta == 0, 0.0, np.inf * np.sign(beta)))
-    p = 2.0 * sstats.t.sf(np.abs(t), df=max(df_resid, 1))
+    p = 2.0 * stats.t.sf(np.abs(t), df=max(df_resid, 1))
     # The sandwich sees only rows whose regressors vary within their symbol; fitted
     # exactly with at most one spare degree of freedom, they leave t and p undefined.
     varies = np.any(Xt != 0.0, axis=1)

@@ -182,7 +182,7 @@ class TickStore:
                     raise ValueError(f"column {col!r} not found in {path}")
             for lineno, row in enumerate(reader, start=2):
                 try:
-                    raw_ts = row[schema.time]
+                    raw_ts = row[schema.time] or ""   # None: the row is too short
                     if parse_ts is None:
                         # detect once per file from the first parseable row
                         if _EPOCH_RE.match(raw_ts.strip()):

@@ -384,14 +384,20 @@ def test_criterion_preprocess_determinism():
 # ---------------------------------------------------------------------------
 
 def test_criterion_end_to_end_determinism(tmp_path):
+    import os
     import subprocess
     import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
     def cli(*argv):
         # fresh process per invocation: determinism must not rely on
         # in-process caches
         proc = subprocess.run([sys.executable, "-m", "hfjumps.cli", *argv],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
 
     def one_run(tag):

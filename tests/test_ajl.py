@@ -1,13 +1,18 @@
 """Day-level ratio test: rho system, weights, power variation, decision."""
+import os
+import subprocess
+import sys
 from math import comb, sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hfjumps import ajl as ajl_module
 from hfjumps.ajl import (PARABOLA, TRIANGLE, AjlParams, WeightFunction,
-                         absolute_normal_moment, ajl_constants, ajl_test,
-                         rho_residuals, s_j_ratio, solve_rho, vbar,
-                         vbar_reference)
+                         _fast_len, _power_variations, absolute_normal_moment,
+                         ajl_constants, ajl_test, rho_residuals, s_j_ratio,
+                         solve_rho, vbar, vbar_reference)
 from hfjumps.errors import ConfigError, DayRejected
 
 # exact Beta-integral values for the default weight pair
@@ -70,6 +75,13 @@ def test_weight_moments_match_beta_integrals():
     assert TRIANGLE.moment(4) == pytest.approx(EXACT["h4"], abs=1e-10)
 
 
+def test_weight_moments_match_beta_integrals_to_rounding():
+    for got, want in ((PARABOLA.moment(2), EXACT["g2"]), (PARABOLA.moment(4), EXACT["g4"]),
+                      (TRIANGLE.moment(2), EXACT["h2"]), (TRIANGLE.moment(4), EXACT["h4"])):
+        assert type(got) is float
+        assert abs(got - want) <= 1e-14 * want
+
+
 def test_ajl_constants_default_pair():
     gamma, gamma_p, gamma_pp = ajl_constants(PARABOLA, TRIANGLE, 4)
     assert gamma == pytest.approx(0.4, abs=1e-6)
@@ -129,6 +141,42 @@ def test_vbar_iid_gaussian_matches_reference_17280():
     got = vbar(d, PARABOLA, p=4, k_n=100)
     want = vbar_reference(d, PARABOLA, p=4, k_n=100)
     assert got == pytest.approx(want, rel=1e-10)
+
+
+def test_fast_len_is_smallest_5_smooth_at_least_n():
+    def smooth(m):
+        for f in (2, 3, 5):
+            while m % f == 0:
+                m //= f
+        return m == 1
+
+    for n in range(1, 3000):
+        want = next(m for m in range(n, 2 * n + 1) if smooth(m))
+        assert _fast_len(n) == want, n
+    assert _fast_len(86_399) == 86_400          # prime
+    assert _fast_len(17_279) == 17_280
+    assert _fast_len(86_400) == 86_400
+
+
+@pytest.mark.parametrize("n", [1_009, 1_080, 100])   # prime, 5-smooth, N == k_n
+@pytest.mark.parametrize("w", [PARABOLA, TRIANGLE], ids=lambda w: w.name)
+def test_vbar_matches_reference_at_any_length(n, w):
+    d = np.random.default_rng(n).normal(0, 3e-4, n)
+    assert vbar(d, w, p=4, k_n=100) == pytest.approx(vbar_reference(d, w, p=4, k_n=100),
+                                                     rel=1e-12, abs=0)
+
+
+def test_power_variations_rows_match_vbar_for_both_weights():
+    rng = np.random.default_rng(3)
+    d = rng.normal(0, 1e-3, (5, 2_001))
+    d[2] += np.diff(rng.normal(0, 1e-3, 2_002))     # a noisier row
+    rho = solve_rho(4)
+    got = _power_variations(d, (PARABOLA, TRIANGLE), 4, 50, rho)
+    assert got.shape == (2, 5)
+    for i, w in enumerate((PARABOLA, TRIANGLE)):
+        for r in range(5):
+            assert got[i, r] == pytest.approx(vbar(d[r], w, p=4, k_n=50, rho=rho),
+                                              rel=1e-14, abs=0)
 
 
 def test_vbar_short_series_rejected():
@@ -209,6 +257,37 @@ def test_ajl_test_deterministic_given_seed():
     assert r1.s_rj == r2.s_rj
     assert r1.critical_value == r2.critical_value
     assert r1.mc_seed == r2.mc_seed
+
+
+def test_ajl_test_z_matches_scipy_norm_ppf(monkeypatch):
+    from scipy import stats
+
+    # a null std of 1 at n = 2^12 makes Delta_n^{1/4} = 2^-3 and
+    # sqrt(Sigma_RJ) = 2^3, so critical = gamma'' - z up to one rounding
+    monkeypatch.setattr(ajl_module, "_null_srj_std", lambda *key: (1.0, 0))
+    path = noisy_path(8, n=4_096)
+    for alpha in (0.9, 0.99, 0.999, 0.9999):
+        res = ajl_test(path, AjlParams(alpha=alpha, k_n=20, sigma_rj_paths=8))
+        want = stats.norm.ppf(alpha)
+        assert abs((res.gamma_dprime - res.critical_value) - want) <= 1e-15 * want
+
+
+def test_cli_import_and_ajl_test_load_no_scipy():
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "import hfjumps.cli\n"
+            "from hfjumps.ajl import AjlParams, ajl_test\n"
+            "rng = np.random.default_rng(0)\n"
+            "x = np.cumsum(rng.normal(0, 1e-3, 2000)) + rng.normal(0, 1e-4, 2000)\n"
+            "ajl_test(x, AjlParams(k_n=20, sigma_rj_paths=8))\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"
 
 
 def test_ajl_params_validation():

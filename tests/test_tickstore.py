@@ -139,6 +139,22 @@ def test_ingest_rejects_timestamps_beyond_int64_ns(tmp_path):
     assert store.days("BTC") == [date(2021, 3, 1)]
 
 
+def test_ingest_rejects_short_rows_missing_the_timestamp(tmp_path):
+    # the timestamp is the last column, so a short row leaves it empty
+    # (csv.DictReader fills it with None) before and after format detection
+    path = tmp_path / "in.csv"
+    write_csv(path, [["A", "BTC", "101"],
+                     ["A", "BTC", "100.0", T0],
+                     ["A", "BTC", "101"]],
+              header=("exchange", "symbol", "price", "time"))
+    store = TickStore(tmp_path / "store")
+    rep = store.ingest_csv(path)
+    assert (rep.accepted, rep.rejected) == (1, 2)
+    assert rep.reject_log == [(2, "bad timestamp"), (4, "bad timestamp")]
+    assert rep.timestamp_format == "epoch_ns"
+    assert len(store.slice("BTC", date(2021, 3, 1))) == 1
+
+
 def test_ingest_missing_column_fails_fast(tmp_path):
     path = tmp_path / "in.csv"
     write_csv(path, [[T0, "A", "100.0"]], header=("time", "exchange", "price"))
