@@ -45,7 +45,7 @@ for label, sim in (("continuous", continuous), ("one 10-sigma jump", jumpy)):
         print("  no moment-level flags")
 
     # ---- day-level test ----------------------------------------------------
-    ap = AjlParams(sigma_rj_paths=100)
+    ap = AjlParams()
     r = ajl_test(prices, ap)
     print(f"S_RJ={r.s_rj:.4f}  (jump limit 1, continuous limit "
           f"gamma''={r.gamma_dprime:.4f}); critical={r.critical_value:.4f} "

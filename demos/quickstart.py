@@ -28,7 +28,7 @@ for rec in records:
     store.ingest_csv(workdir / "corpus" / rec["csv"])
 
 # --- 3. detect: moment-level scan gated by the day-level test --------------
-cfg = RunConfig(sigma_rj_paths=100)      # fewer calibration paths: demo speed
+cfg = RunConfig()
 days = [date.fromisoformat(r["date"]) for r in records]
 summary = run_range(store, ["BTC"], days, cfg,
                     catalog_path=workdir / "catalog.jsonl")

@@ -23,11 +23,17 @@ gamma' > 1 on continuous paths, so the test rejects the no-jump null
 when ``S_RJ < gamma'' - z_alpha * Delta_n^{1/4} * sqrt(Sigma_RJ)``.
 
 A closed-form plug-in for Sigma_RJ needs weight-pair moment functionals
-that lack a tractable expression, so ``sqrt(Sigma_RJ)`` is estimated by
-a seeded local Monte Carlo under the null instead: simulate continuous
-noisy paths at the day's estimated noise-to-volatility ratio and
-length, and take the sample standard deviation of S_RJ across paths
-(divided by Delta_n^{1/4} to match the critical-value scaling).
+that lack a tractable expression, so ``sqrt(Sigma_RJ)`` is estimated
+under the null instead: the sample standard deviation of S_RJ over
+simulated continuous noisy paths at the day's length and estimated
+noise-to-volatility ratio (divided by Delta_n^{1/4} to match the
+critical-value scaling).  S_RJ is scale invariant, so that law depends
+on (sigma, q) only through q/sigma.  For the default k_n, p and weights
+on the four grid lengths of a day, the std comes from the committed
+table ``data/ajl_null_std.csv`` (written by
+``scripts/make_ajl_null_table.py``), interpolated in q/sigma up to its
+last node, q/sigma = 1.  Any other day falls back to a seeded,
+memoized Monte Carlo of ``sigma_rj_paths`` paths.
 
 Both window sums are correlations of the returns (and of their squares)
 with a fixed weight, computed with numpy's real FFT.  A chunk of paths
@@ -40,11 +46,14 @@ standard library.
 """
 from __future__ import annotations
 
+import csv
 import hashlib
 import logging
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from math import comb, sqrt
+from importlib import resources
+from math import comb, exp, log, sqrt
 from statistics import NormalDist
 from typing import Callable
 
@@ -309,6 +318,7 @@ class AjlDayResult:
     reject_null: bool
     mc_seed: int
     frequency_s: int | None = None
+    calibration: str = ""      # where the null std came from; logged, not cataloged
 
 
 # ---------------------------------------------------------------------------
@@ -335,26 +345,22 @@ def _mc_seed(key: tuple) -> int:
     return int.from_bytes(digest, "big")
 
 
-@lru_cache(maxsize=128)
-def _null_srj_std(n_prices: int, k_n: int, p: int, g_name: str, h_name: str,
-                  ratio_key: str, n_paths: int, base_seed: int) -> tuple[float, int]:
-    """Sample std of S_RJ over continuous noisy null paths; memoized.
+def null_draws(n_prices: int, k_n: int, p: int, g: WeightFunction, h: WeightFunction,
+               ratio: float, n_paths: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """S_RJ and Vbar(h) on each of ``n_paths`` continuous noisy null paths.
 
-    Paths are simulated at sigma = 1 (daily), q = ratio; the "inf" key
-    degenerates to pure noise.  Returns (std, seed actually used).
+    Paths are simulated at sigma = 1 (daily) and noise q = ratio; an
+    infinite ratio degenerates to pure unit noise.  Chunks of 50 paths
+    draw from one generator in a fixed order, so a seed pins every path.
     """
-    g, h = get_weight(g_name), get_weight(h_name)
     rho = solve_rho(p)
     _, gamma_prime, _ = ajl_constants(g, h, p)
-    seed = _mc_seed((n_prices, k_n, p, g_name, h_name, ratio_key, n_paths, base_seed))
     rng = np.random.default_rng(seed)
     n_ret = n_prices - 1
-    if ratio_key == "inf":
-        sig, q = 0.0, 1.0
-    else:
-        sig, q = 1.0, float(ratio_key)
+    sig, q = (0.0, 1.0) if np.isinf(ratio) else (1.0, ratio)
 
-    stats_out = np.empty(n_paths)
+    s_rj = np.empty(n_paths)
+    v_h = np.empty(n_paths)
     chunk = max(1, min(50, n_paths))
     pos = 0
     while pos < n_paths:
@@ -362,13 +368,124 @@ def _null_srj_std(n_prices: int, k_n: int, p: int, g_name: str, h_name: str,
         d = rng.standard_normal((m, n_ret)) * (sig / sqrt(n_prices))
         if q > 0:
             d += np.diff(rng.standard_normal((m, n_prices)) * q, axis=1)
-        v_g, v_h = _power_variations(d, (g, h), p, k_n, rho)
-        stats_out[pos:pos + m] = v_g / (gamma_prime * v_h)
+        v_g, v_h[pos:pos + m] = _power_variations(d, (g, h), p, k_n, rho)
+        s_rj[pos:pos + m] = v_g / (gamma_prime * v_h[pos:pos + m])
         pos += m
-    good = np.isfinite(stats_out)
-    if good.sum() < max(8, n_paths // 2):
+    return s_rj, v_h
+
+
+def null_std(s_rj: np.ndarray) -> float:
+    """Sample std (ddof = 1) of the finite null draws of S_RJ."""
+    good = s_rj[np.isfinite(s_rj)]
+    if len(good) < max(8, len(s_rj) // 2):
         raise RuntimeError("null calibration produced too few usable paths")
-    return float(np.std(stats_out[good], ddof=1)), seed
+    return float(np.std(good, ddof=1))
+
+
+@lru_cache(maxsize=128)
+def _null_srj_std(n_prices: int, k_n: int, p: int, g_name: str, h_name: str,
+                  ratio_key: str, n_paths: int, base_seed: int) -> tuple[float, int]:
+    """Monte-Carlo null std of S_RJ for days the table does not cover; memoized.
+
+    Returns (std, seed actually used).
+    """
+    seed = _mc_seed((n_prices, k_n, p, g_name, h_name, ratio_key, n_paths, base_seed))
+    s_rj, _ = null_draws(n_prices, k_n, p, get_weight(g_name), get_weight(h_name),
+                         float(ratio_key), n_paths, seed)
+    return null_std(s_rj), seed
+
+
+# ---------------------------------------------------------------------------
+# the committed null-std table
+# ---------------------------------------------------------------------------
+
+NULL_TABLE = "ajl_null_std.csv"
+
+
+def split_null_table(text: str) -> tuple[dict[str, str], str]:
+    """(header fields, body) of a null-std table file.
+
+    The header is the leading ``# key: value`` lines; the body, the
+    column line and the rows, is what its ``sha256`` field digests.
+    """
+    lines = text.splitlines(keepends=True)
+    n_head = next((i for i, line in enumerate(lines) if not line.startswith("#")),
+                  len(lines))
+    header = dict(line[1:].strip().split(": ", 1) for line in lines[:n_head])
+    return header, "".join(lines[n_head:])
+
+
+def table_digest(body: str) -> str:
+    return hashlib.sha256(body.encode()).hexdigest()
+
+
+@dataclass(frozen=True)
+class NullTable:
+    digest: str
+    # (n, k_n, p, g, h) -> (ascending q/sigma nodes, null std at each)
+    nodes: dict
+
+
+@lru_cache(maxsize=1)
+def _null_table() -> NullTable:
+    text = (resources.files("hfjumps") / "data" / NULL_TABLE).read_text()
+    header, body = split_null_table(text)
+    digest = table_digest(body)
+    if digest != header.get("sha256"):
+        raise RuntimeError(f"{NULL_TABLE}: body digest {digest} does not match "
+                           f"its header; regenerate it with scripts/make_ajl_null_table.py")
+    g_name, h_name = header["weights"].split("/")
+    fixed = (int(header["k_n"]), int(header["p"]), g_name, h_name)
+    rows: dict[int, list] = {}
+    for row in csv.DictReader(body.splitlines()):
+        rows.setdefault(int(row["n"]), []).append(
+            (float(row["q_over_sigma"]), float(row["std"])))
+    nodes = {(n, *fixed): tuple(zip(*sorted(pts))) for n, pts in rows.items()}
+    return NullTable(digest, nodes)
+
+
+def _table_std(n_prices: int, k_n: int, p: int, g_name: str, h_name: str,
+               ratio_key: str) -> tuple[float, str] | None:
+    """Null std of S_RJ interpolated from the table, or None if not covered.
+
+    log(std) is linear in log(q/sigma) between nodes, and std linear in
+    q/sigma between the q/sigma = 0 node and the first positive one.
+    Keys "0" and "inf", and ratios above the last node, are not covered.
+    Returns (std, a description of the nodes used).
+    """
+    nodes = _null_table().nodes.get((n_prices, k_n, p, g_name, h_name))
+    if nodes is None or ratio_key in ("0", "inf"):
+        return None
+    ratios, stds = nodes
+    r = float(ratio_key)
+    if r > ratios[-1]:
+        return None
+    i = bisect_left(ratios, r)          # ratios[i - 1] < r <= ratios[i]
+    if ratios[i] == r:
+        return stds[i], f"table n={n_prices} node {r!r}"
+    (r0, r1), (s0, s1) = ratios[i - 1:i + 1], stds[i - 1:i + 1]
+    if r0 == 0:
+        w = r / r1
+        std = s0 + w * (s1 - s0)
+    else:
+        w = log(r / r0) / log(r1 / r0)
+        std = exp(log(s0) + w * (log(s1) - log(s0)))
+    std = min(max(std, min(s0, s1)), max(s0, s1))   # rounding stays inside the bracket
+    return std, f"table n={n_prices} nodes {r0!r}..{r1!r} weight {w:.4f}"
+
+
+def _calibrate(n_prices: int, params: AjlParams, ratio_key: str) -> tuple[float, int, str]:
+    """(null std, seed, source) for a day: the table, else the Monte Carlo."""
+    key = (n_prices, params.k_n, params.p, params.g.name, params.h.name)
+    found = _table_std(*key, ratio_key)
+    if found is not None:
+        std, source = found
+        return std, _mc_seed(("table", _null_table().digest, *key, ratio_key)), source
+    info = getattr(_null_srj_std, "cache_info", None)    # None for an unmemoized stand-in
+    misses = info().misses if info else None
+    std, seed = _null_srj_std(*key, ratio_key, params.sigma_rj_paths, params.base_seed)
+    outcome = "hit" if info and info().misses == misses else "miss"
+    return std, seed, f"monte carlo key {ratio_key} {outcome}"
 
 
 def plugin_noise_ratio(log_prices: np.ndarray, clip_sds: float = 10.0) -> float:
@@ -421,9 +538,7 @@ def ajl_test(log_prices: np.ndarray, params: AjlParams,
         raise DayRejected("ajl_flat", "non-positive power variation (flat day)")
     s_rj = v_g / (params.gamma_prime * v_h)
 
-    ratio_key = _quantize_ratio(plugin_noise_ratio(lp))
-    std, seed = _null_srj_std(n, params.k_n, params.p, params.g.name, params.h.name,
-                              ratio_key, params.sigma_rj_paths, params.base_seed)
+    std, seed, source = _calibrate(n, params, _quantize_ratio(plugin_noise_ratio(lp)))
     delta_n = 1.0 / n
     sqrt_sigma_rj = std / delta_n ** 0.25
     z = NormalDist().inv_cdf(params.alpha)
@@ -431,7 +546,8 @@ def ajl_test(log_prices: np.ndarray, params: AjlParams,
     return AjlDayResult(
         s_rj=float(s_rj), gamma_dprime=params.gamma_dprime,
         critical_value=float(critical), sigma_rj=float(sqrt_sigma_rj ** 2),
-        reject_null=bool(s_rj < critical), mc_seed=seed, frequency_s=frequency_s)
+        reject_null=bool(s_rj < critical), mc_seed=seed, frequency_s=frequency_s,
+        calibration=source)
 
 
 def s_j_ratio(log_prices: np.ndarray, p: int = 4, k: int = 2) -> float:

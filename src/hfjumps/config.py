@@ -23,6 +23,8 @@ class RunConfig:
     ajl_kn: int = 100
     ajl_weights: str = "parabola/triangle"
     bonferroni: str = "within-day"      # "within-day" | "corpus" | "off"
+    # sigma_rj_paths and seed configure only the AJL Monte-Carlo fallback,
+    # used where the committed null-std table does not cover a day
     sigma_rj_paths: int = 200
     bounceback_reversal: float = 0.75
     seed: int = 0

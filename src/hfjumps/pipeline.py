@@ -12,6 +12,7 @@ import json
 import logging
 from dataclasses import dataclass, field
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 
@@ -142,6 +143,8 @@ def detect_day(series: AggregatedSeries, cfg: RunConfig,
     except DayRejected as exc:
         verdict.reason = exc.reason
         return verdict
+    log.debug("%s %s: AJL null std from %s", series.symbol, series.utc_date,
+              day_ajl.calibration)
 
     verdict.tested = True
     verdict.lm_jump_count_raw = len(scan.flagged)
@@ -259,6 +262,8 @@ def run_range(store: TickStore, symbols: list[str], dates: list[date],
     """
     family = max(1, len(symbols) * len(dates)) if cfg.bonferroni == "corpus" else 1
     verdicts: list[DayVerdict] = []
+    if catalog_path:
+        Path(catalog_path).parent.mkdir(parents=True, exist_ok=True)
     sink = open(catalog_path, "w") if catalog_path else None
     total = len(symbols) * len(dates)
     try:
@@ -288,7 +293,6 @@ def run_range(store: TickStore, symbols: list[str], dates: list[date],
 
 def _write_removal_log(dir_path, verdict: DayVerdict) -> None:
     import csv
-    from pathlib import Path
     d = Path(dir_path)
     d.mkdir(parents=True, exist_ok=True)
     with open(d / f"removals_{verdict.symbol}_{verdict.utc_date.isoformat()}.csv",
@@ -300,7 +304,6 @@ def _write_removal_log(dir_path, verdict: DayVerdict) -> None:
 
 
 def _write_manifest(catalog_path, cfg: RunConfig, completed: int, total: int) -> None:
-    from pathlib import Path
     p = Path(catalog_path)
     manifest = {"schema_version": SCHEMA_VERSION, "config_hash": cfg.hash(),
                 "completed_days": completed, "total_days": total,

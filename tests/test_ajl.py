@@ -118,7 +118,7 @@ def test_vbar_single_spike_matches_direct_sum():
     d[200] = 0.01
     got = vbar(d, PARABOLA, p=4, k_n=100)
     want = vbar_reference(d, PARABOLA, p=4, k_n=100)
-    assert got == pytest.approx(want, rel=1e-12)
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
     # closed-form check: only windows overlapping the spike contribute;
     # with yhat = (g'_j d)^2 per window the total is
     # sum_j [ g_j^4 d^4 - 3 g_j^2 d^2 (g'_{j'} d)^2 ... ] collapsed below
@@ -132,7 +132,7 @@ def test_vbar_single_spike_matches_direct_sum():
         manual += yb ** 4 - 3 * yb ** 2 * yh + 0.75 * yh ** 2
     # windows where only g'_{kn} touches the spike (ybar misses it)
     manual += 0.75 * ((wp[kn - 1] * 0.01) ** 2) ** 2
-    assert got == pytest.approx(manual, rel=1e-12)
+    assert got == pytest.approx(manual, rel=1e-12, abs=0)
 
 
 def test_vbar_iid_gaussian_matches_reference_17280():
@@ -140,7 +140,7 @@ def test_vbar_iid_gaussian_matches_reference_17280():
     d = rng.normal(0, 3e-4, 17_280)
     got = vbar(d, PARABOLA, p=4, k_n=100)
     want = vbar_reference(d, PARABOLA, p=4, k_n=100)
-    assert got == pytest.approx(want, rel=1e-10)
+    assert got == pytest.approx(want, rel=1e-10, abs=0)
 
 
 def test_fast_len_is_smallest_5_smooth_at_least_n():
@@ -288,6 +288,141 @@ def test_cli_import_and_ajl_test_load_no_scipy():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# the null-std table and the Monte-Carlo fallback
+# ---------------------------------------------------------------------------
+
+REPO = Path(__file__).resolve().parents[1]
+TABLE_SCRIPT = REPO / "scripts" / "make_ajl_null_table.py"
+DEFAULT_KEY = (100, 4, "parabola", "triangle")
+
+
+def table_rows():
+    """{(n, q/sigma): std} read straight from the packaged file."""
+    import csv
+    text = (REPO / "src" / "hfjumps" / "data" / ajl_module.NULL_TABLE).read_text()
+    body = [line for line in text.splitlines() if not line.startswith("#")]
+    return {(int(r["n"]), float(r["q_over_sigma"])): float(r["std"])
+            for r in csv.DictReader(body)}
+
+
+def load_table_script():
+    import importlib.util
+    spec = importlib.util.spec_from_file_location("make_ajl_null_table", TABLE_SCRIPT)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_table_covers_every_grid_length_and_node():
+    rows = table_rows()
+    nodes = [0.0] + [10.0 ** (j / 4) for j in range(-12, 1)]
+    assert set(rows) == {(n, r) for n in (5_760, 8_640, 17_280, 86_400) for r in nodes}
+    assert all(std > 0 for std in rows.values())
+
+
+@pytest.mark.parametrize("n", [5_760, 86_400])
+@pytest.mark.parametrize("key", ["0.001", "0.01", "0.1", "1"])
+def test_table_lookup_at_a_node_returns_the_stored_std(n, key):
+    std, source = ajl_module._table_std(n, *DEFAULT_KEY, key)
+    assert std == table_rows()[(n, float(key))]
+    assert source == f"table n={n} node {float(key)!r}"
+
+
+@pytest.mark.parametrize("key, lo, hi", [("0.0125", 0.01, 10 ** -1.75),
+                                         ("0.000512", 0.0, 0.001),
+                                         ("0.3", 10 ** -0.75, 10 ** -0.5),
+                                         ("0.999", 10 ** -0.25, 1.0)])
+def test_table_lookup_between_nodes_lies_between_its_neighbours(key, lo, hi):
+    rows = table_rows()
+    for n in (5_760, 8_640, 17_280, 86_400):
+        std, source = ajl_module._table_std(n, *DEFAULT_KEY, key)
+        s_lo, s_hi = rows[(n, lo)], rows[(n, hi)]
+        assert min(s_lo, s_hi) <= std <= max(s_lo, s_hi)
+        assert source.startswith(f"table n={n} nodes {lo!r}..{hi!r} weight ")
+
+
+def test_table_lookup_interpolates_log_linearly_and_linearly_from_zero():
+    rows = table_rows()
+    lo, hi = 0.01, 10 ** -1.75
+    w = (np.log(0.0125) - np.log(lo)) / (np.log(hi) - np.log(lo))
+    want = np.exp((1 - w) * np.log(rows[(17_280, lo)]) + w * np.log(rows[(17_280, hi)]))
+    assert ajl_module._table_std(17_280, *DEFAULT_KEY, "0.0125")[0] == \
+        pytest.approx(want, rel=1e-14, abs=0)
+    want0 = rows[(17_280, 0.0)] + 0.25 * (rows[(17_280, 0.001)] - rows[(17_280, 0.0)])
+    assert ajl_module._table_std(17_280, *DEFAULT_KEY, "0.00025")[0] == \
+        pytest.approx(want0, rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("n, k_n, key", [(17_280, 100, "0"), (17_280, 100, "inf"),
+                                         (17_280, 100, "1.01"), (17_280, 20, "0.0125"),
+                                         (17_281, 100, "0.0125")])
+def test_uncovered_days_go_to_the_monte_carlo(monkeypatch, n, k_n, key):
+    calls = []
+
+    def fake(*args):
+        calls.append(args)
+        return 0.5, 7
+
+    monkeypatch.setattr(ajl_module, "_null_srj_std", fake)
+    params = AjlParams(k_n=k_n, sigma_rj_paths=40, base_seed=3)
+    assert ajl_module._table_std(n, k_n, 4, "parabola", "triangle", key) is None
+    std, seed, source = ajl_module._calibrate(n, params, key)
+    assert (std, seed) == (0.5, 7)
+    assert calls == [(n, k_n, 4, "parabola", "triangle", key, 40, 3)]
+    assert source == f"monte carlo key {key} miss"
+
+
+def test_covered_day_seed_names_the_table_and_node(monkeypatch):
+    def boom(*args):
+        raise AssertionError("Monte Carlo called for a covered day")
+
+    monkeypatch.setattr(ajl_module, "_null_srj_std", boom)
+    res = ajl_test(noisy_path(6), AjlParams())
+    ratio_key = ajl_module._quantize_ratio(ajl_module.plugin_noise_ratio(noisy_path(6)))
+    digest = ajl_module._null_table().digest
+    assert res.mc_seed == ajl_module._mc_seed(
+        ("table", digest, 17_280, *DEFAULT_KEY, ratio_key))
+    assert res.calibration.startswith("table n=17280 nodes ")
+    # the std, and so the critical value, does not depend on the fallback's knobs
+    other = ajl_test(noisy_path(6), AjlParams(sigma_rj_paths=50, base_seed=5))
+    assert (other.critical_value, other.mc_seed) == (res.critical_value, res.mc_seed)
+
+
+def test_fallback_is_still_memoised():
+    ajl_module._null_srj_std.cache_clear()
+    path = noisy_path(7, n=2_000)
+    params = AjlParams(k_n=20, sigma_rj_paths=16, base_seed=11)
+    first = ajl_test(path, params)
+    second = ajl_test(path, params)
+    assert first.calibration.startswith("monte carlo key ") and first.calibration.endswith(" miss")
+    assert second.calibration == first.calibration.replace(" miss", " hit")
+    assert (second.critical_value, second.mc_seed) == (first.critical_value, first.mc_seed)
+    info = ajl_module._null_srj_std.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+
+
+def test_table_script_check_passes_and_catches_an_edited_body(tmp_path):
+    run = [sys.executable, str(TABLE_SCRIPT), "--check"]
+    ok = subprocess.run(run, capture_output=True, text=True, timeout=120)
+    assert ok.returncode == 0, ok.stdout + ok.stderr
+    edited = tmp_path / "table.csv"
+    text = (REPO / "src" / "hfjumps" / "data" / ajl_module.NULL_TABLE).read_text()
+    edited.write_text(text.replace("\n5760,0.01,0.", "\n5760,0.01,1.", 1))
+    assert edited.read_text() != text
+    bad = subprocess.run(run + ["--table", str(edited)], capture_output=True, text=True,
+                         timeout=120)
+    assert bad.returncode == 1 and "MISMATCH" in bad.stdout
+
+
+def test_table_script_regenerates_the_5760_nodes():
+    script = load_table_script()
+    rows = table_rows()
+    for ratio in script.RATIOS:
+        std, _ = script.node(5_760, ratio)
+        assert std == pytest.approx(rows[(5_760, ratio)], rel=1e-12, abs=0), ratio
 
 
 def test_ajl_params_validation():

@@ -1,5 +1,7 @@
 """Command line: subcommands, exit codes, artifact determinism."""
 import json
+import logging
+
 import pytest
 
 from hfjumps.cli import main
@@ -77,6 +79,43 @@ def test_detect_on_empty_store_exit_0(tmp_path):
     assert out.read_text() == ""
     manifest = json.loads((tmp_path / "catalog.jsonl.manifest.json").read_text())
     assert manifest["completed_days"] == 0
+
+
+def small_store(tmp_path):
+    corpus, store = tmp_path / "corpus", tmp_path / "store"
+    assert run("simulate", "--out", str(corpus), "--days", "2", "--symbol", "BTC",
+               "--seed", "4", "--ticks-per-day", "5760") == 0
+    assert run("ingest", "--store", str(store),
+               "--csv", *sorted(str(p) for p in corpus.glob("*.csv"))) == 0
+    return store
+
+
+def test_detect_creates_the_catalog_directory(tmp_path):
+    store = small_store(tmp_path)
+    out = tmp_path / "new" / "deeper" / "catalog.jsonl"
+    assert run("detect", "--store", str(store), "--out", str(out)) == 0
+    assert len(out.read_text().splitlines()) == 2
+    assert json.loads(out.with_name("catalog.jsonl.manifest.json").read_text())["complete"]
+
+
+def test_verbose_detect_logs_the_calibration_source_per_day(tmp_path, caplog):
+    store = small_store(tmp_path)
+    caplog.set_level(logging.DEBUG, logger="hfjumps")
+
+    def sources(*extra):
+        caplog.clear()
+        out = tmp_path / f"catalog{len(extra)}.jsonl"
+        assert run("-v", "detect", "--store", str(store), "--out", str(out), *extra) == 0
+        recs = [json.loads(line) for line in out.read_text().splitlines()]
+        assert all(r["tested"] and "calibration" not in r["ajl"] for r in recs)
+        return [r.getMessage() for r in caplog.records if "AJL null std from" in r.getMessage()]
+
+    table = sources()
+    assert [m.split(":")[0] for m in table] == ["BTC 2021-01-01", "BTC 2021-01-02"]
+    assert all(" from table n=5760 node" in m for m in table)
+    mc = sources("--ajl-kn", "50", "--sigma-rj-paths", "16")
+    assert len(mc) == 2 and all(" from monte carlo key " in m for m in mc)
+    assert mc[0].endswith(" miss")
 
 
 @pytest.fixture(scope="module")

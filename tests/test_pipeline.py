@@ -3,6 +3,7 @@ import json
 from datetime import date, timedelta
 
 import numpy as np
+import pytest
 from hfjumps.config import RunConfig
 from hfjumps.pipeline import (SymbolSummary, detect_day, load_catalog,
                               render_symbol_summary, run_day, run_range)
@@ -57,6 +58,20 @@ def test_jump_day_accepted_events_match_combination():
     assert ev.direction == "positive" and ev.size > 0
     inj_ns = sim_series(32).timestamps_ns[int(0.5 * 17_280)]
     assert abs(ev.utc_timestamp_ns - inj_ns) < 300 * 10 ** 9
+
+
+@pytest.mark.parametrize("n, freq", [(86_400, 1), (17_280, 5)])
+def test_default_detect_day_runs_no_monte_carlo(monkeypatch, n, freq):
+    import hfjumps.ajl as ajl
+
+    def boom(*args):
+        raise AssertionError("the null calibration ran a Monte Carlo")
+
+    monkeypatch.setattr(ajl, "_null_srj_std", boom)
+    for seed, jumps in ((36, None), (37, [(0.5, 0.03)])):
+        v = detect_day(sim_series(seed, n=n, jumps=jumps), RunConfig())
+        assert v.tested and v.frequency_s == freq
+        assert v.ajl["critical_value"] < v.ajl["gamma_dprime"]
 
 
 def test_verdict_invariant_no_events_without_ajl_reject():
