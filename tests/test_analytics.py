@@ -1,11 +1,13 @@
 """Summary tables, extremes, seasonality, panel regression."""
+import math
 from datetime import date, datetime, timezone
 
+import mpmath
 import numpy as np
 import pytest
 
-from hfjumps.analytics import (PanelRow, build_panel, build_tables, count_extremes,
-                               fe_regression, render_extremes_table,
+from hfjumps.analytics import (PanelRow, _t_two_sided_p, build_panel, build_tables,
+                               count_extremes, fe_regression, render_extremes_table,
                                render_regression_table, render_summary_table,
                                seasonality, significance_stars,
                                summarize_returns)
@@ -372,6 +374,44 @@ def test_significance_stars_thresholds():
     assert significance_stars(0.01) == "*"
     assert significance_stars(0.049) == "*"
     assert significance_stars(0.05) == ""
+
+
+# ---------------------------------------------------------------------------
+# Student-t p-values
+# ---------------------------------------------------------------------------
+
+T_DFS = sorted(set(range(1, 201)) | {int(round(v)) for v in np.geomspace(200, 10_000, 25)})
+T_VALUES = [float(v) for v in np.geomspace(1e-8, 40, 25)] + [1.3, 1.8, 2.1, 3.0]
+
+
+def test_t_two_sided_p_matches_a_50_digit_reference():
+    # mpmath, not scipy: scipy's own t.sf is 3e-9 off near t = 0 at df = 1
+    worst = (0.0, None)
+    with mpmath.workdps(50):
+        for df in T_DFS:
+            for t in T_VALUES:
+                x = mpmath.mpf(df) / (df + mpmath.mpf(t) ** 2)
+                ref = mpmath.betainc(mpmath.mpf(df) / 2, mpmath.mpf(1) / 2, 0, x,
+                                     regularized=True)
+                if ref >= mpmath.mpf("1e-300"):
+                    err = float(abs(_t_two_sided_p(t, df) - ref) / ref)
+                    worst = max(worst, (err, (df, t)))
+    assert worst[0] <= 1e-12, worst
+
+
+def test_t_two_sided_p_special_values():
+    for df in (1, 2, 5, 10_000):
+        assert _t_two_sided_p(0.0, df) == 1.0
+        assert _t_two_sided_p(-0.0, df) == 1.0
+        assert _t_two_sided_p(math.inf, df) == 0.0
+        assert _t_two_sided_p(-math.inf, df) == 0.0
+        assert math.isnan(_t_two_sided_p(math.nan, df))
+        for t in (1e-300, 1e-8, 0.7, 1.96, 12.0, 1e200):
+            p = _t_two_sided_p(t, df)
+            assert _t_two_sided_p(-t, df) == p
+            assert 0.0 <= p <= 1.0
+    # far beyond where t² overflows, df = 1 still has the Cauchy tail 2/(pi t)
+    assert _t_two_sided_p(1e300, 1) == pytest.approx(2 / (math.pi * 1e300), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
