@@ -5,7 +5,19 @@ price) and are persisted per (symbol, UTC day), one immutable ``.npz``
 file for each source file that touches the day, written under a
 temporary name and renamed into place.  Timestamps are stored as integer
 epoch nanoseconds; input may be ISO-8601 UTC or epoch nanoseconds
-(auto-detected per file, the detection is logged).
+(auto-detected per file from its first parseable timestamp, the
+detection is logged).
+
+A file is parsed column-wise, ``CHUNK_ROWS`` records at a time.  Each
+chunk's cells are converted in bulk: epoch stamps that are 10-19 ASCII
+digits through ``astype(int64)``, ISO stamps of the shape
+``YYYY-MM-DD[T ]HH:MM:SS[.f...][Z|z]`` through ``datetime64[s]`` plus
+integer nanoseconds, prices through ``float``.  Any other cell (an
+offset, surrounding blanks, an impossible date, a value at the ends of
+int64 nanoseconds) goes through the row-level parser, ``parse_iso_ns`` or
+``parse_epoch_ns``, so bulk and row parse accept and reject the same
+cells.  The reject rules are masks, and only int64, float64 and code
+arrays outlive a chunk.
 """
 from __future__ import annotations
 
@@ -24,13 +36,15 @@ import numpy as np
 log = logging.getLogger(__name__)
 
 DAY_NS = 86_400 * 10 ** 9
+CHUNK_ROWS = 2048         # records parsed per bulk step; bounds the parse's memory
 
+# ASCII digits only: int() also reads other scripts' digits
 _ISO_RE = re.compile(
     r"^(\d{4})-(\d{2})-(\d{2})[T ](\d{2}):(\d{2}):(\d{2})"
     r"(?:\.(\d+))?"
-    r"(Z|z|[+-]\d{2}:?\d{2})?$"
+    r"(Z|z|[+-]\d{2}:?\d{2})?$", re.ASCII
 )
-_EPOCH_RE = re.compile(r"^\d{10,19}$")
+_EPOCH_RE = re.compile(r"^\d{10,19}$", re.ASCII)
 
 
 def parse_iso_ns(text: str) -> int:
@@ -61,6 +75,134 @@ def parse_epoch_ns(text: str) -> int:
     if not _EPOCH_RE.match(t):
         raise ValueError(f"not an epoch-ns timestamp: {text!r}")
     return int(t)
+
+
+# the bulk parse reads a chunk's cells as fixed-width rows of code points, as
+# wide as the longest cell; a cell longer than this takes the row path
+_BULK_WIDTH = 32
+_INT64_MAX = str(2 ** 63 - 1)
+# the non-digits of YYYY-MM-DD?HH:MM:SS by position; the ? is a T or a space
+_ISO_SEPARATORS = {4: "-", 7: "-", 13: ":", 16: ":"}
+# whole seconds strictly between these are in range as int64 ns
+_S_MIN, _S_MAX = -2 ** 63 // 10 ** 9, (2 ** 63 - 1) // 10 ** 9
+
+
+def _code_points(cells) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cells as fixed-width text, its (n, width) code points and the cells' lengths.
+
+    Code points past a cell's end are 0.  A cell longer than the width
+    is truncated; its length says so.
+    """
+    lens = np.fromiter(map(len, cells), np.intp, len(cells))
+    width = int(min(max(lens.max(), 1), _BULK_WIDTH))
+    text = np.array(cells, dtype=f"<U{width}")
+    return text, text.view(np.uint32).reshape(len(cells), width), lens
+
+
+def _digit_counts(points: np.ndarray) -> np.ndarray:
+    """ASCII digits per row; with the row's length it says whether all of it is digits."""
+    return (points - np.uint32(ord("0")) < 10).sum(1)    # uint32: below "0" wraps high
+
+
+def _epoch_bulk(cells) -> tuple[np.ndarray, np.ndarray]:
+    """Epoch ns of the cells that are 10-19 ASCII digits within int64, and which those are."""
+    text, points, lens = _code_points(cells)
+    ok = (lens >= 10) & (lens <= 19) & (_digit_counts(points) == lens)
+    ok &= ~((lens == 19) & (text > _INT64_MAX))
+    ts = np.zeros(len(cells), np.int64)
+    ts[ok] = text[ok].astype(np.int64)
+    return ts, ok
+
+
+def _iso_bulk(cells) -> tuple[np.ndarray, np.ndarray]:
+    """Epoch ns of the cells shaped ``YYYY-MM-DD[T ]HH:MM:SS[.f...][Z|z]``, and which those are.
+
+    Fractional digits past the ninth truncate, as in ``parse_iso_ns``.
+    When numpy refuses a date or time of the group (Feb 30, hour 24,
+    second 60), no cell is taken.
+    """
+    text, points, lens = _code_points(cells)
+    n, width = points.shape
+    ts = np.zeros(n, np.int64)
+    if width < 19:
+        return ts, np.zeros(n, bool)
+    last = points[np.arange(n), np.clip(lens, 1, width) - 1]
+    z = (lens > 19) & ((last == ord("Z")) | (last == ord("z")))
+    end = lens - z                                   # of the fraction
+    dot = points[:, 19] == ord(".") if width > 19 else np.zeros(n, bool)
+    ok = (lens >= 19) & (lens <= width) & ((end == 19) | (dot & (end > 20)))
+    ok &= (points[:, 10] == ord("T")) | (points[:, 10] == ord(" "))
+    for at, sep in _ISO_SEPARATORS.items():
+        ok &= points[:, at] == ord(sep)
+    # the non-digits checked above are the only ones: all other code points are digits
+    ok &= lens - _digit_counts(points) == 5 + (end > 19) + z
+    if not ok.any():
+        return ts, ok
+    frac = points[:, 20:29].astype(np.int64) - ord("0")
+    frac[np.arange(20, 20 + frac.shape[1]) >= end[:, None]] = 0
+    frac_ns = frac @ 10 ** np.arange(8, 8 - frac.shape[1], -1)
+    try:
+        secs = text[ok].astype("<U19").astype("datetime64[s]").astype(np.int64)
+    except ValueError:
+        return ts, np.zeros(n, bool)
+    rows = np.flatnonzero(ok)
+    inside = (secs > _S_MIN) & (secs < _S_MAX)
+    ok[rows[~inside]] = False
+    ts[rows[inside]] = secs[inside] * 10 ** 9 + frac_ns[rows[inside]]
+    return ts, ok
+
+
+# timestamp format name -> (row parser, bulk parser)
+_FORMATS = {"epoch_ns": (parse_epoch_ns, _epoch_bulk), "iso8601": (parse_iso_ns, _iso_bulk)}
+
+
+def _detect_format(cells) -> str | None:
+    """The format of the first cell a row parser reads, epoch first; None if none."""
+    for raw in cells:
+        for fmt, (parse, _) in _FORMATS.items():
+            try:
+                parse(raw)
+            except ValueError:
+                continue
+            return fmt
+    return None
+
+
+def _parse_times(cells, fmt: str) -> tuple[np.ndarray, np.ndarray]:
+    """Epoch ns of each cell in format ``fmt``, and a mask of the cells that are none.
+
+    The bulk parser takes what it can; every other cell goes through the
+    row parser and must land within int64 nanoseconds.
+    """
+    parse, bulk = _FORMATS[fmt]
+    ts, ok = bulk(cells)
+    bad = np.zeros(len(cells), bool)
+    for i in np.flatnonzero(~ok):
+        try:
+            value = parse(cells[i])
+        except ValueError:
+            value = None
+        if value is not None and -2 ** 63 <= value < 2 ** 63:
+            ts[i] = value
+        else:
+            bad[i] = True
+    return ts, bad
+
+
+def _parse_prices(cells) -> tuple[np.ndarray, np.ndarray]:
+    """Each cell as ``float`` reads it, and a mask of the cells it cannot read (NaN)."""
+    n = len(cells)
+    try:
+        return np.fromiter(map(float, cells), np.float64, n), np.zeros(n, bool)
+    except ValueError:
+        pass
+    prices, bad = np.full(n, np.nan), np.zeros(n, bool)
+    for i, cell in enumerate(cells):
+        try:
+            prices[i] = float(cell)
+        except ValueError:
+            bad[i] = True
+    return prices, bad
 
 
 @dataclass
@@ -98,6 +240,7 @@ class IngestReport:
     rejected: int = 0
     timestamp_format: str = ""
     reject_log: list[tuple[int, str]] = field(default_factory=list)
+    rejected_by_reason: dict[str, int] = field(default_factory=dict)
     already_ingested: bool = False
 
 
@@ -109,21 +252,44 @@ def utc_date(ts_ns: int) -> date:
     return date.fromordinal(_EPOCH_ORDINAL + ts_ns // DAY_NS)
 
 
-def _row_fields(row: dict, schema: CsvSchema) -> tuple[str, str, float] | str:
-    """A row's (symbol, exchange, price), or the reason the row is rejected."""
-    try:
-        price = float(row[schema.price])
-    except (ValueError, TypeError, KeyError):
-        return "bad price"
-    if not np.isfinite(price) or price <= 0:
-        return "non-positive price"
-    sym = (row.get(schema.symbol) or "").strip()
-    exch = (row.get(schema.exchange) or "").strip()
-    if not sym or not exch:
-        return "missing field"
-    if sym in (".", "..") or "/" in sym or "\\" in sym:
-        return "bad symbol"      # the symbol names a directory of the store
-    return sym, exch, price
+# a rejected row's reason by code; the lower code wins when several apply
+_REASONS = ("", "bad timestamp", "bad price", "non-positive price", "missing field",
+            "bad symbol")
+
+
+def _pair_reason(symbol: str, exchange: str) -> int:
+    """The reject code of a stripped (symbol, exchange) pair, 0 if it is fine."""
+    if not symbol or not exchange:
+        return _REASONS.index("missing field")
+    if symbol in (".", "..") or "/" in symbol or "\\" in symbol:
+        return _REASONS.index("bad symbol")      # the symbol names a directory of the store
+    return 0
+
+
+def _records(reader, size: int):
+    """The reader's non-blank records with their file line numbers, ``size`` at a time."""
+    rows, lines = [], []
+    for row in reader:
+        if row:                # csv.DictReader skips blank records too
+            rows.append(row)
+            lines.append(reader.line_num)
+            if len(rows) == size:
+                yield rows, lines
+                rows, lines = [], []
+    if rows:
+        yield rows, lines
+
+
+def _columns(rows: list[list[str]], width: int) -> list[tuple[str, ...]]:
+    """The rows' cells by column; a short row's missing cells read as empty.
+
+    csv.DictReader gives None for them, which every parse here rejects
+    as it rejects an empty cell.  Cells beyond the header are dropped.
+    """
+    if set(map(len, rows)) != {width}:
+        pad = [""] * width
+        rows = [(row + pad)[:width] for row in rows]
+    return list(zip(*rows))
 
 
 def _write_replacing(path: Path, write) -> None:
@@ -144,7 +310,8 @@ class TickStore:
 
         root/
           ticks/<SYMBOL>/<YYYY-MM-DD>/<source sha256>.npz   ts, exchange, price
-          sources/<source sha256>.json     accepted, rejected, timestamp_format
+          sources/<source sha256>.json     accepted, rejected, rejected_by_reason,
+                                           timestamp_format
 
     A source's record is written after all of its partition files, so it
     marks a completed ingest: re-ingesting the same content is a no-op
@@ -173,54 +340,81 @@ class TickStore:
                                 **json.loads(record_path.read_text()))
 
         report = IngestReport(source=str(path))
-        parse_ts = None
-        buckets: dict[tuple[str, date], list[tuple[int, str, float]]] = {}
+        fmt = None
+        codes: dict[tuple[str, str], int] = {}   # raw (symbol, exchange) cells -> pair code
+        pairs: list[tuple[str, str]] = []        # pair code -> stripped (symbol, exchange)
+        pair_reasons: list[int] = []             # pair code -> reject code
+        counts = np.zeros(len(_REASONS), np.int64)
+        kept = []                                # per chunk: ts, price, pair code
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            for col in (schema.time, schema.exchange, schema.symbol, schema.price):
-                if reader.fieldnames is None or col not in reader.fieldnames:
+            reader = csv.reader(fh)
+            header = next(reader, None) or []
+            where = {name: i for i, name in enumerate(header)}   # a repeated name: the last
+            fields = (schema.time, schema.exchange, schema.symbol, schema.price)
+            for col in fields:
+                if col not in where:
                     raise ValueError(f"column {col!r} not found in {path}")
-            for lineno, row in enumerate(reader, start=2):
-                try:
-                    raw_ts = row[schema.time] or ""   # None: the row is too short
-                    if parse_ts is None:
-                        # detect once per file from the first parseable row
-                        if _EPOCH_RE.match(raw_ts.strip()):
-                            parse_ts = parse_epoch_ns
-                            report.timestamp_format = "epoch_ns"
-                        else:
-                            parse_iso_ns(raw_ts)
-                            parse_ts = parse_iso_ns
-                            report.timestamp_format = "iso8601"
-                        log.info("ingest %s: detected %s timestamps",
-                                 path, report.timestamp_format)
-                    ts = parse_ts(raw_ts)
-                    if not -2 ** 63 <= ts < 2 ** 63:
-                        raise ValueError(f"{raw_ts!r} is beyond int64 nanoseconds")
-                except (ValueError, KeyError, TypeError):
-                    fields = "bad timestamp"
+            for rows, lines in _records(reader, CHUNK_ROWS):
+                columns = _columns(rows, len(header))
+                raw_ts, raw_exch, raw_sym, raw_price = (columns[where[col]] for col in fields)
+                n = len(rows)
+                if fmt is None:
+                    # detect once per file from the first parseable row
+                    fmt = _detect_format(raw_ts)
+                    if fmt:
+                        report.timestamp_format = fmt
+                        log.info("ingest %s: detected %s timestamps", path, fmt)
+                if fmt:
+                    ts, bad_ts = _parse_times(raw_ts, fmt)
                 else:
-                    fields = _row_fields(row, schema)
-                if isinstance(fields, str):
-                    report.rejected += 1
-                    report.reject_log.append((lineno, fields))
-                    continue
-                sym, exch, price = fields
-                buckets.setdefault((sym, utc_date(ts)), []).append((ts, exch, price))
-                report.accepted += 1
+                    ts, bad_ts = np.zeros(n, np.int64), np.ones(n, bool)
+                price, bad_price = _parse_prices(raw_price)
+                raw_pairs = list(zip(raw_sym, raw_exch))
+                for pair in dict.fromkeys(raw_pairs):
+                    if pair not in codes:
+                        codes[pair] = len(pairs)
+                        pairs.append((pair[0].strip(), pair[1].strip()))
+                        pair_reasons.append(_pair_reason(*pairs[-1]))
+                code = np.fromiter(map(codes.__getitem__, raw_pairs), np.int32, n)
+                reason = np.select(          # codes 1-3 of _REASONS, else the pair's
+                    [bad_ts, bad_price, ~np.isfinite(price) | (price <= 0)], [1, 2, 3],
+                    np.array(pair_reasons, np.int8)[code])
+                counts += np.bincount(reason, minlength=len(_REASONS))
+                report.reject_log += [(lines[i], _REASONS[reason[i]])
+                                      for i in np.flatnonzero(reason)]
+                keep = reason == 0
+                kept.append((ts[keep], price[keep], code[keep]))
 
-        for (sym, day), rows in sorted(buckets.items()):
-            ts, exch, price = zip(*rows)
-            _write_replacing(self._day_dir(sym, day) / f"{digest}.npz", lambda fh: np.savez(
-                fh, ts=np.array(ts, dtype=np.int64), exchange=np.array(exch),
-                price=np.array(price)))
+        report.accepted, report.rejected = int(counts[0]), int(counts[1:].sum())
+        report.rejected_by_reason = {why: int(k) for why, k in zip(_REASONS[1:], counts[1:]) if k}
+        if report.accepted:
+            self._write_days(digest, pairs, *(np.concatenate(col) for col in zip(*kept)))
         record = {"accepted": report.accepted, "rejected": report.rejected,
+                  "rejected_by_reason": report.rejected_by_reason,
                   "timestamp_format": report.timestamp_format}
         _write_replacing(record_path, lambda fh: fh.write(
             json.dumps(record, indent=1, sort_keys=True).encode()))
         if report.rejected:
             log.warning("ingest %s: rejected %d rows", path, report.rejected)
         return report
+
+    def _write_days(self, digest: str, pairs: list[tuple[str, str]], ts: np.ndarray,
+                    price: np.ndarray, code: np.ndarray) -> None:
+        """One file per (symbol, UTC day) of the accepted rows, rows in file order."""
+        symbols = sorted({sym for sym, _ in pairs})
+        rank = {sym: i for i, sym in enumerate(symbols)}
+        sym_rank = np.array([rank[sym] for sym, _ in pairs])[code]
+        exchanges = np.array([exch for _, exch in pairs])
+        exch_len = np.array([len(exch) for _, exch in pairs])
+        day = ts // DAY_NS
+        order = np.lexsort((day, sym_rank))          # stable
+        cuts = np.flatnonzero((np.diff(sym_rank[order]) != 0) | (np.diff(day[order]) != 0))
+        for rows in np.split(order, cuts + 1):
+            # the dtype np.array gives the bucket's exchanges: <U{longest}
+            exch = exchanges[code[rows]].astype(f"<U{exch_len[code[rows]].max()}")
+            part = self._day_dir(symbols[sym_rank[rows[0]]], utc_date(int(ts[rows[0]])))
+            _write_replacing(part / f"{digest}.npz", lambda fh: np.savez(
+                fh, ts=ts[rows], exchange=exch, price=price[rows]))
 
     # -- reads --------------------------------------------------------
     def _day_dir(self, symbol: str, day: date) -> Path:

@@ -1,5 +1,8 @@
 """Tick ingestion, partitioning, and slicing."""
 import csv
+import hashlib
+import json
+import tracemalloc
 from datetime import date
 
 import numpy as np
@@ -8,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hfjumps import tickstore
+from hfjumps.simulate import SimConfig, make_corpus
 from hfjumps.tickstore import (CsvSchema, TickStore, parse_epoch_ns,
                                parse_iso_ns, utc_date)
 
@@ -291,3 +295,330 @@ def test_roundtrip_multiset(tmp_path_factory, ticks):
         assert all(day_start <= t < day_start + DAY_NS for t in sl.timestamps_ns)
     want = [(T0 + s * 10 ** 9, e, float(repr(p))) for s, e, p in ticks]
     assert sorted(got) == sorted(want)
+
+
+# ---------------------------------------------------------------------------
+# reject log, record and memory
+# ---------------------------------------------------------------------------
+
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
+def test_timestamps_take_ascii_digits_only(tmp_path):
+    # int() reads other scripts' digits; a timestamp may not be written in them
+    epoch = str(T0).translate(ARABIC_INDIC)
+    iso = "2021-03-01T00:00:00Z".translate(ARABIC_INDIC)
+    for text in (epoch, iso):
+        for parse in (parse_epoch_ns, parse_iso_ns):
+            with pytest.raises(ValueError):
+                parse(text)
+    path = tmp_path / "in.csv"
+    write_csv(path, [[epoch, "A", "BTC", "100.0"], [T0, "A", "BTC", "100.0"],
+                     [epoch, "A", "BTC", "100.0"]])
+    rep = TickStore(tmp_path / "store").ingest_csv(path)
+    assert (rep.accepted, rep.rejected, rep.timestamp_format) == (1, 2, "epoch_ns")
+    assert rep.reject_log == [(2, "bad timestamp"), (4, "bad timestamp")]
+
+
+def test_reject_log_numbers_file_lines_past_blank_lines(tmp_path):
+    path = tmp_path / "in.csv"
+    path.write_text(f"time,exchange,symbol,price\n{T0},A,BTC,100.0\n\n{T0},A,BTC,abc\n")
+    rep = TickStore(tmp_path / "store").ingest_csv(path)
+    assert (rep.accepted, rep.rejected) == (1, 1)
+    assert rep.reject_log == [(4, "bad price")]
+
+
+def test_source_record_counts_rejects_by_reason(tmp_path):
+    path = tmp_path / "in.csv"
+    write_csv(path, [[T0, "A", "BTC", "100.0"], ["x", "A", "BTC", "100.0"],
+                     [T0, "A", "BTC", "-1"], [T0, "A", "BTC", "nan"], [T0, "", "BTC", "1"]])
+    store = TickStore(tmp_path / "store")
+    rep = store.ingest_csv(path)
+    want = {"bad timestamp": 1, "non-positive price": 2, "missing field": 1}
+    assert (rep.accepted, rep.rejected, rep.rejected_by_reason) == (1, 4, want)
+    [record] = (tmp_path / "store" / "sources").glob("*.json")
+    assert json.loads(record.read_text())["rejected_by_reason"] == want
+    again = store.ingest_csv(path)
+    assert again.already_ingested and again.rejected_by_reason == want
+
+
+def test_reingest_over_a_record_without_reject_counts_is_a_no_op(tmp_path):
+    # a record written before the per-reason counts existed
+    path = tmp_path / "in.csv"
+    write_csv(path, [[T0, "A", "BTC", "100.0"], [T0, "A", "BTC", "abc"]])
+    store = TickStore(tmp_path / "store")
+    store.ingest_csv(path)
+    [record] = (tmp_path / "store" / "sources").glob("*.json")
+    old = {"accepted": 1, "rejected": 1, "timestamp_format": "epoch_ns"}
+    record.write_text(json.dumps(old, indent=1, sort_keys=True))
+    [part] = (tmp_path / "store" / "ticks").rglob("*.npz")
+    stored = part.read_bytes()
+    rep = store.ingest_csv(path)
+    assert rep.already_ingested
+    assert (rep.accepted, rep.rejected, rep.rejected_by_reason) == (1, 1, {})
+    assert json.loads(record.read_text()) == old and part.read_bytes() == stored
+
+
+def test_ingest_memory_stays_chunked(tmp_path):
+    # a whole-file column parse of a 1-s day peaks at about 2x this bound,
+    # the row-by-row parse at 22.5 MiB, the chunked parse at 9 MiB
+    [rec] = make_corpus(tmp_path, "BTC", date(2021, 1, 4), 1, SimConfig(seed=1))
+    store = TickStore(tmp_path / "store")
+    tracemalloc.start()
+    try:
+        rep = store.ingest_csv(tmp_path / rec["csv"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.accepted == 86_400
+    assert peak < 12 * 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# the bulk parse against the row path
+# ---------------------------------------------------------------------------
+
+def row_ts(parse, text):
+    """A cell as the row path reads it: epoch ns within int64, or None."""
+    try:
+        value = parse(text)
+    except ValueError:
+        return None
+    return value if -2 ** 63 <= value < 2 ** 63 else None
+
+
+def two(lo, hi):
+    return st.integers(lo, hi).map("{:02d}".format)
+
+
+ISO_CELLS = st.builds(
+    "{}-{}-{}{}{}:{}:{}{}{}".format,
+    st.sampled_from(["1677", "1678", "2021", "2262", "2300", "0000"])
+    | st.integers(0, 9999).map("{:04d}".format),
+    two(0, 13), two(0, 31), st.sampled_from(["T", " ", "t", "_"]),
+    two(0, 25), two(0, 61), two(0, 61),
+    st.just("") | st.text("0123456789", max_size=12).map(".{}".format),
+    st.sampled_from(["", "Z", "z", "+00:00", "-05:30", "+0130", "-0000", "+05", "Z ",
+                     " ", "ZZ", "\n"]))
+EPOCH_CELLS = (st.integers(0, 10 ** 20).map(str)
+               | st.sampled_from([str(2 ** 63 - 1), str(2 ** 63), "9" * 19, "1" * 9,
+                                  "1" * 20, "0" * 10, f" {T0}", f"{T0}\n",
+                                  str(T0).translate(ARABIC_INDIC), "1²" + "0" * 10]))
+GARBAGE = st.text(st.sampled_from("0123456789-:.TZz +\t\x00²٣"), max_size=34) | st.text(max_size=8)
+# dates and times numpy accepts, so that a group of them takes the bulk path
+VALID_ISO_CELLS = st.builds(
+    "{}-{}-{}{}{}:{}:{}{}{}".format,
+    st.sampled_from(["1677", "2262"]) | st.integers(1678, 2261).map(str),
+    two(1, 12), two(1, 28), st.sampled_from(["T", " "]), two(0, 23), two(0, 59), two(0, 59),
+    st.just("") | st.text("0123456789", min_size=1, max_size=12).map(".{}".format),
+    st.sampled_from(["", "Z", "z"]))
+CELLS = (st.lists(ISO_CELLS | EPOCH_CELLS | GARBAGE, min_size=1, max_size=12)
+         | st.lists(VALID_ISO_CELLS | EPOCH_CELLS, min_size=1, max_size=12)).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(CELLS)
+def test_bulk_timestamps_match_the_row_path(cells):
+    for fmt, (parse, bulk) in tickstore._FORMATS.items():
+        want = [row_ts(parse, cell) for cell in cells]
+        ts, ok = bulk(cells)
+        assert all(ts[i] == want[i] for i in np.flatnonzero(ok)), fmt
+        ts, bad = tickstore._parse_times(cells, fmt)
+        assert list(bad) == [w is None for w in want], fmt
+        assert [int(t) for t, b in zip(ts, bad) if not b] == [w for w in want if w is not None]
+
+
+def test_bulk_parse_takes_the_canonical_shapes():
+    iso = ("2021-03-01T00:00:00Z", "2021-03-01 00:00:00.5", "2021-03-01T00:00:00.1234567899z",
+           "2021-03-01T01:00:00+01:00")
+    ts, ok = tickstore._iso_bulk(iso)
+    assert list(ok) == [True, True, True, False]          # an offset takes the row path
+    assert list(ts[:3]) == [T0, T0 + 500_000_000, T0 + 123_456_789]
+    ts, ok = tickstore._epoch_bulk((str(T0), str(2 ** 63 - 1), str(2 ** 63), f" {T0}"))
+    assert list(ok) == [True, True, False, False]
+    assert list(ts[:2]) == [T0, 2 ** 63 - 1]
+
+
+@pytest.mark.parametrize("text", [
+    "1677-09-21T00:12:43.145224192Z", "1677-09-21T00:12:43.145224191Z",
+    "2262-04-11T23:47:16.854775807Z", "2262-04-11T23:47:16.854775808Z",
+    "2021-03-01T00:00:00.1234567899z", "2021-03-01 00:00:00", "2021-02-30T00:00:00Z",
+    "2021-03-01T24:00:00Z", "2021-03-01T00:00:60Z", "2021-03-01T00:00", "+2021-03-01T00:00:00"])
+def test_bulk_iso_edges_match_the_row_path(text):
+    cells = (text, "2021-03-01T00:00:00Z")       # one group, as in a chunk
+    ts, bad = tickstore._parse_times(cells, "iso8601")
+    assert [None if b else int(t) for t, b in zip(ts, bad)] == \
+        [row_ts(parse_iso_ns, cell) for cell in cells]
+
+
+def oracle_ingest(path, schema=CsvSchema()):
+    """Row-by-row reference: csv.DictReader and the reject rules in order."""
+    parsers = {"epoch_ns": parse_epoch_ns, "iso8601": parse_iso_ns}
+    fmt, log, buckets = "", [], {}
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        for row in reader:
+            raw = row[schema.time] or ""
+            if not fmt:      # the first row either parser reads sets the format
+                for f, parse in parsers.items():
+                    try:
+                        parse(raw)
+                    except ValueError:
+                        continue
+                    fmt = f
+                    break
+            ts = row_ts(parsers[fmt], raw) if fmt else None
+            sym = (row[schema.symbol] or "").strip()
+            exch = (row[schema.exchange] or "").strip()
+            try:
+                price = float(row[schema.price])
+            except (TypeError, ValueError):
+                price = None
+            if ts is None:
+                reason = "bad timestamp"
+            elif price is None:
+                reason = "bad price"
+            elif not np.isfinite(price) or price <= 0:
+                reason = "non-positive price"
+            elif not sym or not exch:
+                reason = "missing field"
+            elif sym in (".", "..") or "/" in sym or "\\" in sym:
+                reason = "bad symbol"
+            else:
+                buckets.setdefault((sym, utc_date(ts)), []).append((ts, exch, price))
+                continue
+            log.append((reader.reader.line_num, reason))
+    by_reason = {}
+    for _, reason in log:
+        by_reason[reason] = by_reason.get(reason, 0) + 1
+    arrays = {key: (np.array([r[0] for r in rows], dtype=np.int64),
+                    np.array([r[1] for r in rows]), np.array([r[2] for r in rows]))
+              for key, rows in buckets.items()}
+    return fmt, log, by_reason, arrays
+
+
+def assert_ingest_matches_oracle(path, store_dir, schema=CsvSchema()):
+    fmt, log, by_reason, want = oracle_ingest(path, schema)
+    rep = TickStore(store_dir).ingest_csv(path, schema)
+    assert rep.timestamp_format == fmt
+    assert rep.reject_log == log
+    assert rep.rejected_by_reason == by_reason
+    assert (rep.accepted, rep.rejected) == (sum(len(a[0]) for a in want.values()), len(log))
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    got = {}
+    for part in (store_dir / "ticks").glob(f"*/*/{digest}.npz"):
+        with np.load(part) as z:
+            got[(part.parent.parent.name, date.fromisoformat(part.parent.name))] = \
+                (z["ts"], z["exchange"], z["price"])
+    assert got.keys() == want.keys()
+    for key, arrays in want.items():
+        for g, w in zip(got[key], arrays):
+            assert g.dtype == w.dtype and np.array_equal(g, w), key
+
+
+ISO0 = "2021-03-01T00:00:00Z"
+
+
+def test_ragged_rows_match_the_oracle(tmp_path, monkeypatch):
+    monkeypatch.setattr(tickstore, "CHUNK_ROWS", 3)
+    path = tmp_path / "in.csv"
+    path.write_text("\n".join([
+        "time,exchange,symbol,price",
+        f"{T0},A,BTC,100.0",
+        f"{T0 + 1},A,BTC",                   # short: no price
+        f"{T0 + 2},A",                       # short: no symbol either
+        "",
+        f"{T0 + 3},B,BTC,101.0,extra,fields",
+        f"{T0 + 4}",
+        "",
+        "",
+        f"{T0 + 5}, B , ETH ,102.5",
+        f"{T0 + 6},A,BTC,103.0",
+    ]) + "\n")
+    assert_ingest_matches_oracle(path, tmp_path / "store")
+
+
+def test_repeated_header_names_take_the_last_column(tmp_path, monkeypatch):
+    monkeypatch.setattr(tickstore, "CHUNK_ROWS", 2)
+    path = tmp_path / "in.csv"
+    write_csv(path, [[T0, "A", "BTC", "abc", "100.0"], [T0 + 1, "A", "BTC", "101.0", "-1"],
+                     [T0 + 2, "A", "BTC", "102.0"], [T0 + 3, "A", "BTC", "1", "2", "3"]],
+              header=("time", "exchange", "symbol", "price", "price"))
+    assert_ingest_matches_oracle(path, tmp_path / "store")
+    rep = TickStore(tmp_path / "again").ingest_csv(path)
+    assert rep.reject_log == [(3, "non-positive price"), (4, "bad price")]
+    assert list(TickStore(tmp_path / "again").slice("BTC", date(2021, 3, 1)).prices) == [100.0, 2.0]
+
+
+def test_first_parseable_timestamp_past_the_first_chunk(tmp_path, monkeypatch):
+    monkeypatch.setattr(tickstore, "CHUNK_ROWS", 3)
+    rows = [[bad, "A", "BTC", "100.0"] for bad in ("x", "", str(T0)[:9], "2021-03-01",
+                                                    "2021-13-01T00:00:00Z", "-1", "1e18")]
+    rows += [["2021-03-01T00:00:01.5+01:00", "A", "BTC", "101.0"], [ISO0, "A", "BTC", "1"],
+             [str(T0), "A", "BTC", "1"]]
+    path = tmp_path / "in.csv"
+    write_csv(path, rows)
+    assert_ingest_matches_oracle(path, tmp_path / "store")
+    rep = TickStore(tmp_path / "again").ingest_csv(path)
+    assert (rep.timestamp_format, rep.accepted, rep.rejected) == ("iso8601", 2, 8)
+
+
+def test_symbol_days_split_across_chunks_keep_file_order(tmp_path, monkeypatch):
+    monkeypatch.setattr(tickstore, "CHUNK_ROWS", 4)
+    rows = []
+    for i in range(30):
+        t = T0 + (DAY_NS if i % 3 == 0 else 0) + (37 * i % 11) * 10 ** 9    # not sorted
+        rows.append([t, "AB"[i % 2] * (1 + i % 3), ("BTC", "ETH")[i % 5 == 0], f"{100 + i}.5"])
+    path = tmp_path / "in.csv"
+    write_csv(path, rows)
+    assert_ingest_matches_oracle(path, tmp_path / "store")
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    with np.load(tmp_path / "store" / "ticks" / "BTC" / "2021-03-01" / f"{digest}.npz") as z:
+        want = [float(r[3]) for r in rows if r[2] == "BTC" and r[0] < T0 + DAY_NS]
+        assert list(z["price"]) == want
+
+
+def test_default_chunks_match_the_oracle(tmp_path):
+    # several full chunks plus a partial one, rejects spread over them
+    n = 2 * tickstore.CHUNK_ROWS + 123
+    rows = [[f"2021-03-0{1 + i % 2}T00:00:{i % 60:02d}.{i:06d}Z", "AB"[i % 2], "BTC",
+             "abc" if i % 997 == 0 else f"{100 + i % 7}.25"] for i in range(n)]
+    rows[-5][0] = "2021-02-30T00:00:00Z"
+    path = tmp_path / "in.csv"
+    write_csv(path, rows)
+    assert_ingest_matches_oracle(path, tmp_path / "store")
+
+
+CSV_CELLS = {
+    "time": st.sampled_from([str(T0), str(T0 + DAY_NS + 7), ISO0, "2021-03-02 23:59:59.999999999z",
+                             "2021-03-01T01:00:00+01:00", "2300-01-01T00:00:00Z", str(2 ** 63),
+                             "x", "", " " + str(T0)]),
+    "exchange": st.sampled_from(["A", "BB", " A ", "", "CCC"]),
+    "symbol": st.sampled_from(["BTC", "ETH", " BTC", "", "..", "a/b"]),
+    "price": st.sampled_from(["100.0", "1e-3", " 7 ", "0", "-1", "nan", "inf", "abc", ""]),
+}
+
+
+@st.composite
+def csv_lines(draw):
+    header = draw(st.permutations(list(CSV_CELLS)))
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 25))):
+        row = [draw(CSV_CELLS[col]) for col in header]
+        cut = draw(st.sampled_from([len(row)] * 6 + [0, 1, 2, 3, 5]))
+        lines.append(",".join((row + ["extra"])[:cut]))
+    return lines
+
+
+@settings(max_examples=60, deadline=None)
+@given(csv_lines(), st.integers(1, 6))
+def test_any_file_matches_the_oracle(tmp_path_factory, lines, chunk_rows):
+    tmp = tmp_path_factory.mktemp("csv")
+    path = tmp / "in.csv"
+    path.write_text("\n".join(lines) + "\n")
+    old = tickstore.CHUNK_ROWS
+    tickstore.CHUNK_ROWS = chunk_rows
+    try:
+        assert_ingest_matches_oracle(path, tmp / "store")
+    finally:
+        tickstore.CHUNK_ROWS = old
