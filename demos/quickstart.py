@@ -30,15 +30,17 @@ for rec in records:
 # --- 3. detect: moment-level scan gated by the day-level test --------------
 cfg = RunConfig()
 days = [date.fromisoformat(r["date"]) for r in records]
-summary = run_range(store, ["BTC"], days, cfg,
-                    catalog_path=workdir / "catalog.jsonl")
+verdicts = run_range(store, ["BTC"], days, cfg,
+                     catalog_path=workdir / "catalog.jsonl")
 
 print()
-for v in summary.verdicts:
-    events = ", ".join(f"{e.direction[:3]} {e.size:+.4f}" for e in v.accepted_jumps)
+for v in verdicts:
+    events = ", ".join(f"{e['direction'][:3]} {e['size']:+.4f}" for e in v.accepted_jumps)
+    lm_flags = len(v.lm["jumps"]) if v.tested else 0
+    ajl_reject = v.tested and v.ajl["reject_null"]
     print(f"{v.utc_date}  tested={v.tested} freq={v.frequency_s}s "
-          f"lm={v.lm_jump_count_dedup} ajl_reject={v.ajl_reject}  [{events}]")
+          f"lm={lm_flags} ajl_reject={ajl_reject}  [{events}]")
 
 print()
-print(render_symbol_summary(summary.per_symbol()))
+print(render_symbol_summary(verdicts))
 print(f"catalog at {workdir / 'catalog.jsonl'}")

@@ -18,8 +18,8 @@ from .errors import ConfigError, DayRejected, HfJumpsError, NoVariationError
 from .lee_mykland import (LmDayResult, LmMomentResult, LmParams, NoiseEstimate,
                           dedup_consecutive, estimate_noise, gumbel_quantile,
                           lm_scan, select_k)
-from .pipeline import (DayVerdict, JumpEvent, RangeSummary, detect_day,
-                       load_catalog, render_symbol_summary, run_day, run_range)
+from .pipeline import (DayVerdict, detect_day, load_catalog, render_symbol_summary,
+                       run_range)
 from .preprocess import (AggregatedSeries, EquispacedSeries, RemovalRecord,
                          aggregate_cross_exchange, filter_returns,
                          make_equispaced, select_frequency)
@@ -31,15 +31,15 @@ __version__ = "0.1.0"
 __all__ = [
     "AggregatedSeries", "AjlDayResult", "AjlParams", "ConfigError", "CsvSchema",
     "DayRejected", "DayVerdict", "EquispacedSeries", "ExtremeCount",
-    "HfJumpsError", "IngestReport", "JumpEvent", "LmDayResult", "LmMomentResult",
+    "HfJumpsError", "IngestReport", "LmDayResult", "LmMomentResult",
     "LmParams", "NoVariationError", "NoiseEstimate", "PARABOLA", "PanelRow",
-    "RangeSummary", "RegressionResult", "RemovalRecord", "RunConfig", "SimConfig",
+    "RegressionResult", "RemovalRecord", "RunConfig", "SimConfig",
     "SimDay", "SummaryStats", "SymbolDaySlice", "TRIANGLE", "TickStore",
     "WeightFunction", "aggregate_cross_exchange", "ajl_constants", "ajl_test",
     "build_panel", "count_extremes", "dedup_consecutive", "detect_day",
     "estimate_noise", "fe_regression", "filter_returns", "gumbel_quantile",
     "lm_scan", "load_catalog", "make_corpus", "make_equispaced",
-    "render_symbol_summary", "run_day", "run_range", "s_j_ratio", "seasonality",
+    "render_symbol_summary", "run_range", "s_j_ratio", "seasonality",
     "select_frequency", "select_k", "simulate_day", "solve_rho",
     "summarize_returns", "vbar", "vbar_reference", "write_tick_csv",
 ]

@@ -167,10 +167,10 @@ def cmd_detect(args, cfg: RunConfig) -> int:
     if not days:
         log.warning("no stored days to detect; writing an empty catalog")
     out_dir = Path(args.out).parent
-    summary = pipeline.run_range(store, symbols, days, cfg,
-                                 catalog_path=args.out,
-                                 removal_log_dir=out_dir / "removals")
-    print(pipeline.render_symbol_summary(summary.per_symbol()), end="")
+    verdicts = pipeline.run_range(store, symbols, days, cfg,
+                                  catalog_path=args.out,
+                                  removal_log_dir=out_dir / "removals")
+    print(pipeline.render_symbol_summary(verdicts), end="")
     return EXIT_OK
 
 
@@ -221,7 +221,7 @@ def cmd_report(args, cfg: RunConfig) -> int:
         for f in sorted(Path(args.tables).iterdir()):
             if f.is_file():
                 shutil.copyfile(f, tdir / f.name)
-    events = _load_events(args.events or cfg.events_file)
+    events = _load_events(args.events)
 
     # timeline: per (symbol-day) jump counts with event markers inline
     per_day: dict[str, int] = {}

@@ -7,6 +7,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import ajl
 from .errors import ConfigError
 
 
@@ -28,7 +29,6 @@ class RunConfig:
     sigma_rj_paths: int = 200
     bounceback_reversal: float = 0.75
     seed: int = 0
-    events_file: str | None = None      # optional (UTC instant, label) CSV
 
     def __post_init__(self):
         if not 0 < self.alpha < 1:
@@ -43,6 +43,7 @@ class RunConfig:
             raise ConfigError("bonferroni must be within-day, corpus, or off")
         if "/" not in self.ajl_weights:
             raise ConfigError("ajl_weights must be '<numerator>/<denominator>'")
+        self.ajl_params()       # AjlParams checks the AJL settings, once per run
 
     # -- construction ---------------------------------------------------
     @classmethod
@@ -87,3 +88,10 @@ class RunConfig:
     def weight_names(self) -> tuple[str, str]:
         g, h = self.ajl_weights.split("/", 1)
         return g.strip(), h.strip()
+
+    def ajl_params(self) -> ajl.AjlParams:
+        g_name, h_name = self.weight_names()
+        return ajl.AjlParams(p=self.ajl_p, k_n=self.ajl_kn,
+                             g=ajl.get_weight(g_name), h=ajl.get_weight(h_name),
+                             alpha=self.alpha, sigma_rj_paths=self.sigma_rj_paths,
+                             base_seed=self.seed)

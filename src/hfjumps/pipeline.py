@@ -25,20 +25,7 @@ from .tickstore import TickStore
 
 log = logging.getLogger(__name__)
 
-SCHEMA_VERSION = 1
-
-
-@dataclass
-class JumpEvent:
-    symbol: str
-    utc_timestamp_ns: int
-    size: float
-    direction: str           # "positive" | "negative"
-    xi: float
-
-    def to_dict(self) -> dict:
-        return {"utc_timestamp_ns": self.utc_timestamp_ns, "size": self.size,
-                "direction": self.direction, "xi": self.xi}
+SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -49,9 +36,7 @@ class DayVerdict:
     reason: str = ""
     frequency_s: int | None = None
     lm_jump_count_raw: int = 0
-    lm_jump_count_dedup: int = 0
-    ajl_reject: bool = False
-    accepted_jumps: list[JumpEvent] = field(default_factory=list)
+    accepted_jumps: list[dict] = field(default_factory=list)
     lm: dict | None = None
     ajl: dict | None = None
     n_points: int = 0
@@ -73,30 +58,13 @@ class DayVerdict:
             "n_removed": self.n_removed,
             "close_log_price": self.close_log_price,
             "lm_jump_count_raw": self.lm_jump_count_raw,
-            "lm_jump_count_dedup": self.lm_jump_count_dedup,
-            "ajl_reject": self.ajl_reject,
             "lm": self.lm,
             "ajl": self.ajl,
-            "accepted_jumps": [e.to_dict() for e in self.accepted_jumps],
+            "accepted_jumps": self.accepted_jumps,
         }
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
-
-
-def _build_lm_params(cfg: RunConfig, n: int, k: int, family_multiplier: int) -> lm.LmParams:
-    return lm.LmParams.for_series(
-        n=n, k=k, C=cfg.lm_C, alpha=cfg.alpha,
-        bonferroni=cfg.bonferroni != "off",
-        family_multiplier=family_multiplier)
-
-
-def _build_ajl_params(cfg: RunConfig) -> ajl.AjlParams:
-    g_name, h_name = cfg.weight_names()
-    return ajl.AjlParams(p=cfg.ajl_p, k_n=cfg.ajl_kn,
-                         g=ajl.get_weight(g_name), h=ajl.get_weight(h_name),
-                         alpha=cfg.alpha, sigma_rj_paths=cfg.sigma_rj_paths,
-                         base_seed=cfg.seed)
 
 
 def detect_day(series: AggregatedSeries, cfg: RunConfig,
@@ -127,7 +95,9 @@ def detect_day(series: AggregatedSeries, cfg: RunConfig,
 
     try:
         k = lm.select_k(filtered.log_prices)
-        params = _build_lm_params(cfg, len(filtered), k, family_multiplier)
+        params = lm.LmParams.for_series(
+            n=len(filtered), k=k, C=cfg.lm_C, alpha=cfg.alpha,
+            bonferroni=cfg.bonferroni != "off", family_multiplier=family_multiplier)
         scan = lm.lm_scan(filtered.log_prices, params,
                           timestamps_ns=filtered.timestamps_ns)
     except DayRejected as exc:
@@ -136,9 +106,9 @@ def detect_day(series: AggregatedSeries, cfg: RunConfig,
 
     deduped = lm.dedup_consecutive(scan.moments, window=cfg.dedup_window)
 
+    ajl_params = cfg.ajl_params()
     try:
         grid = make_equispaced(filtered, freq)
-        ajl_params = _build_ajl_params(cfg)
         day_ajl = ajl.ajl_test(grid.log_prices, ajl_params, frequency_s=freq)
     except DayRejected as exc:
         verdict.reason = exc.reason
@@ -148,8 +118,6 @@ def detect_day(series: AggregatedSeries, cfg: RunConfig,
 
     verdict.tested = True
     verdict.lm_jump_count_raw = len(scan.flagged)
-    verdict.lm_jump_count_dedup = len(deduped)
-    verdict.ajl_reject = day_ajl.reject_null
     verdict.lm = {
         "k": params.k, "M": params.M, "C": params.C,
         "n_blocks": scan.n_blocks,
@@ -160,7 +128,7 @@ def detect_day(series: AggregatedSeries, cfg: RunConfig,
                   for m in deduped],
     }
     verdict.ajl = {
-        "frequency_s": freq, "p": ajl_params.p, "k_n": ajl_params.k_n,
+        "p": ajl_params.p, "k_n": ajl_params.k_n,
         "weights": cfg.ajl_weights,
         "s_rj": day_ajl.s_rj, "gamma_dprime": day_ajl.gamma_dprime,
         "sigma_rj": day_ajl.sigma_rj, "critical_value": day_ajl.critical_value,
@@ -169,13 +137,10 @@ def detect_day(series: AggregatedSeries, cfg: RunConfig,
     # the combination rule: moment detections count only on days where the
     # day-level test also rejects the no-jump null
     if day_ajl.reject_null:
-        for m in deduped:
-            verdict.accepted_jumps.append(JumpEvent(
-                symbol=series.symbol,
-                utc_timestamp_ns=m.block_start_ns if m.block_start_ns is not None else 0,
-                size=m.pbar,
-                direction="positive" if m.pbar > 0 else "negative",
-                xi=m.xi))
+        verdict.accepted_jumps = [
+            {"utc_timestamp_ns": m.block_start_ns, "size": m.pbar,
+             "direction": "positive" if m.pbar > 0 else "negative", "xi": m.xi}
+            for m in deduped]
     return verdict
 
 
@@ -189,12 +154,6 @@ def filter_day(series: AggregatedSeries,
     """The outlier filter at the run's settings; both tests see its output."""
     return filter_returns(series, sd_cutoff=cfg.sd_cutoff,
                           reversal=cfg.bounceback_reversal)
-
-
-def run_day(store: TickStore, symbol: str, utc_date: date, cfg: RunConfig,
-            family_multiplier: int = 1) -> DayVerdict:
-    return detect_day(load_day(store, symbol, utc_date), cfg,
-                      family_multiplier=family_multiplier)
 
 
 def tested_returns(store: TickStore, records: list[dict],
@@ -215,43 +174,24 @@ def tested_returns(store: TickStore, records: list[dict],
     return out
 
 
-@dataclass
-class SymbolSummary:
-    symbol: str
-    n_jumps: int = 0
-    n_test_days: int = 0
-
-    @property
-    def pct_jumps(self) -> float:
-        return 100.0 * self.n_jumps / self.n_test_days if self.n_test_days else 0.0
-
-
-@dataclass
-class RangeSummary:
-    verdicts: list[DayVerdict]
-
-    def per_symbol(self) -> list[SymbolSummary]:
-        rows: dict[str, SymbolSummary] = {}
-        for v in self.verdicts:
-            row = rows.setdefault(v.symbol, SymbolSummary(v.symbol))
-            if v.tested:
-                row.n_test_days += 1
-                row.n_jumps += len(v.accepted_jumps)
-        return [rows[s] for s in sorted(rows)]
-
-
-def render_symbol_summary(rows: list[SymbolSummary]) -> str:
+def render_symbol_summary(verdicts: list[DayVerdict]) -> str:
     """Fixed-width per-asset table: symbol, jump count, test days, % jumps."""
+    counts: dict[str, list[int]] = {}
+    for v in verdicts:
+        row = counts.setdefault(v.symbol, [0, 0])
+        if v.tested:
+            row[0] += len(v.accepted_jumps)
+            row[1] += 1
     lines = [f"{'Symbol':<8}{'N jumps':>9}{'N test days':>13}{'% jumps':>9}"]
-    for r in rows:
-        lines.append(f"{r.symbol:<8}{r.n_jumps:>9}{r.n_test_days:>13}"
-                     f"{r.pct_jumps:>9.2f}")
+    for symbol, (n_jumps, n_days) in sorted(counts.items()):
+        pct = 100.0 * n_jumps / n_days if n_days else 0.0
+        lines.append(f"{symbol:<8}{n_jumps:>9}{n_days:>13}{pct:>9.2f}")
     return "\n".join(lines) + "\n"
 
 
 def run_range(store: TickStore, symbols: list[str], dates: list[date],
               cfg: RunConfig, catalog_path=None,
-              removal_log_dir=None) -> RangeSummary:
+              removal_log_dir=None) -> list[DayVerdict]:
     """Detect over a symbol-date grid; day failures never abort the run.
 
     With ``bonferroni="corpus"`` the correction family is all requested
@@ -270,10 +210,8 @@ def run_range(store: TickStore, symbols: list[str], dates: list[date],
         for symbol in symbols:
             for day in dates:
                 try:
-                    v = run_day(store, symbol, day, cfg, family_multiplier=family)
-                except DayRejected as exc:
-                    v = DayVerdict(symbol=symbol, utc_date=day, tested=False,
-                                   reason=exc.reason, config_hash=cfg.hash())
+                    v = detect_day(load_day(store, symbol, day), cfg,
+                                   family_multiplier=family)
                 except Exception as exc:   # report, keep going
                     log.error("day %s %s failed: %s", symbol, day, exc)
                     v = DayVerdict(symbol=symbol, utc_date=day, tested=False,
@@ -288,7 +226,7 @@ def run_range(store: TickStore, symbols: list[str], dates: list[date],
         if sink:
             sink.close()
             _write_manifest(catalog_path, cfg, len(verdicts), total)
-    return RangeSummary(verdicts)
+    return verdicts
 
 
 def _write_removal_log(dir_path, verdict: DayVerdict) -> None:

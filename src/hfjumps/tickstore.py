@@ -118,8 +118,8 @@ def _iso_bulk(cells) -> tuple[np.ndarray, np.ndarray]:
     """Epoch ns of the cells shaped ``YYYY-MM-DD[T ]HH:MM:SS[.f...][Z|z]``, and which those are.
 
     Fractional digits past the ninth truncate, as in ``parse_iso_ns``.
-    When numpy refuses a date or time of the group (Feb 30, hour 24,
-    second 60), no cell is taken.
+    A date or time numpy refuses (Feb 30, hour 24, second 60) is not
+    taken; the rest of the group is.
     """
     text, points, lens = _code_points(cells)
     n, width = points.shape
@@ -141,15 +141,28 @@ def _iso_bulk(cells) -> tuple[np.ndarray, np.ndarray]:
     frac = points[:, 20:29].astype(np.int64) - ord("0")
     frac[np.arange(20, 20 + frac.shape[1]) >= end[:, None]] = 0
     frac_ns = frac @ 10 ** np.arange(8, 8 - frac.shape[1], -1)
-    try:
-        secs = text[ok].astype("<U19").astype("datetime64[s]").astype(np.int64)
-    except ValueError:
-        return ts, np.zeros(n, bool)
+    secs, taken = _iso_seconds(text[ok].astype("<U19"))
     rows = np.flatnonzero(ok)
-    inside = (secs > _S_MIN) & (secs < _S_MAX)
+    inside = taken & (secs > _S_MIN) & (secs < _S_MAX)
     ok[rows[~inside]] = False
     ts[rows[inside]] = secs[inside] * 10 ** 9 + frac_ns[rows[inside]]
     return ts, ok
+
+
+def _iso_seconds(text: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Epoch seconds of ``YYYY-MM-DD?HH:MM:SS`` cells, and which ones numpy reads.
+
+    numpy refuses a whole group for one bad date, so a refused group is
+    halved until only the refused cells are left out.
+    """
+    try:
+        return text.astype("datetime64[s]").astype(np.int64), np.ones(len(text), bool)
+    except ValueError:
+        if len(text) == 1:
+            return np.zeros(1, np.int64), np.zeros(1, bool)
+    half = len(text) // 2
+    (head, head_ok), (tail, tail_ok) = _iso_seconds(text[:half]), _iso_seconds(text[half:])
+    return np.concatenate((head, tail)), np.concatenate((head_ok, tail_ok))
 
 
 # timestamp format name -> (row parser, bulk parser)

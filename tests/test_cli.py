@@ -29,11 +29,26 @@ def test_unknown_subcommand_usage_error():
     assert exc.value.code == 1
 
 
-def test_bad_config_file_exit_3(tmp_path):
+def test_bad_config_file_exit_3(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"no_such_key": 1}')
-    assert run("--config", str(cfg), "simulate", "--out", str(tmp_path / "o"),
-               "--days", "1") == 3
+    # events_file is not a config key: report takes --events
+    for key in ("no_such_key", "events_file"):
+        cfg.write_text(json.dumps({key: "events.csv"}))
+        assert run("--config", str(cfg), "simulate", "--out", str(tmp_path / "o"),
+                   "--days", "1") == 3
+        assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [("--ajl-p", "5"), ("--ajl-kn", "1"),
+                                   ("--sigma-rj-paths", "4"),
+                                   ("--ajl-weights", "triangle/parabola")])
+def test_invalid_ajl_settings_exit_3_before_any_day(tmp_path, capsys, flags):
+    store = small_store(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "out" / "catalog.jsonl"
+    assert run("detect", "--store", str(store), "--out", str(out), *flags) == 3
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.parent.exists()
 
 
 def test_missing_csv_exit_2(tmp_path):

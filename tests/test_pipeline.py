@@ -5,8 +5,8 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 from hfjumps.config import RunConfig
-from hfjumps.pipeline import (SymbolSummary, detect_day, load_catalog,
-                              render_symbol_summary, run_day, run_range)
+from hfjumps.pipeline import (DayVerdict, detect_day, load_catalog, load_day,
+                              render_symbol_summary, run_range)
 from hfjumps.preprocess import AggregatedSeries
 from hfjumps.simulate import SimConfig, simulate_day, tick_timestamps_ns
 from hfjumps.tickstore import TickStore
@@ -35,7 +35,7 @@ def test_sparse_day_fails_frequency_rule():
     ts = tick_timestamps_ns(D, 5000)
     v = detect_day(AggregatedSeries("BTC", D, ts, np.full(5000, 4.6)), CFG)
     assert not v.tested and v.reason == "frequency"
-    assert v.lm_jump_count_dedup == 0
+    assert v.lm is None and v.accepted_jumps == []
 
 
 def test_continuous_day_tested_no_jumps():
@@ -51,13 +51,13 @@ def test_continuous_day_tested_no_jumps():
 def test_jump_day_accepted_events_match_combination():
     v = detect_day(sim_series(32, jumps=[(0.5, 0.03)]), CFG)
     assert v.tested
-    assert v.lm_jump_count_dedup >= 1
-    assert v.ajl_reject
-    assert len(v.accepted_jumps) == v.lm_jump_count_dedup
+    assert len(v.lm["jumps"]) >= 1
+    assert v.ajl["reject_null"]
+    assert len(v.accepted_jumps) == len(v.lm["jumps"])
     ev = v.accepted_jumps[0]
-    assert ev.direction == "positive" and ev.size > 0
+    assert ev["direction"] == "positive" and ev["size"] > 0
     inj_ns = sim_series(32).timestamps_ns[int(0.5 * 17_280)]
-    assert abs(ev.utc_timestamp_ns - inj_ns) < 300 * 10 ** 9
+    assert abs(ev["utc_timestamp_ns"] - inj_ns) < 300 * 10 ** 9
 
 
 @pytest.mark.parametrize("n, freq", [(86_400, 1), (17_280, 5)])
@@ -78,10 +78,10 @@ def test_verdict_invariant_no_events_without_ajl_reject():
     # combination rule applied to the verdict dataclass directly
     for seed in (33, 34):
         v = detect_day(sim_series(seed), CFG)
-        if not v.ajl_reject:
+        if not v.ajl["reject_null"]:
             assert v.accepted_jumps == []
         if v.accepted_jumps:
-            assert v.ajl_reject
+            assert v.ajl["reject_null"]
 
 
 def test_combination_rule_counts_preserved_when_ajl_accepts(monkeypatch):
@@ -98,28 +98,34 @@ def test_combination_rule_counts_preserved_when_ajl_accepts(monkeypatch):
     monkeypatch.setattr(pl.ajl, "ajl_test", no_reject)
     v = detect_day(sim_series(32, jumps=[(0.5, 0.03)]), CFG)
     assert v.tested
-    assert v.lm_jump_count_dedup >= 1
-    assert not v.ajl_reject
+    assert len(v.lm["jumps"]) >= 1
+    assert not v.ajl["reject_null"]
     assert v.accepted_jumps == []
 
 
 def test_day_verdict_json_round_trip():
     v = detect_day(sim_series(35, jumps=[(0.3, -0.02)]), CFG)
     blob = json.loads(v.to_json())
-    assert blob["schema_version"] == 1
+    assert blob["schema_version"] == 2
     assert blob["config_hash"] == CFG.hash()
     assert blob["symbol"] == "BTC" and blob["date"] == "2021-03-01"
     assert isinstance(blob["accepted_jumps"], list)
     assert set(blob["lm"]) >= {"k", "M", "C", "n_blocks", "q_hat_sq",
                                "sigma_hat_sq", "v_n", "jumps"}
-    assert set(blob["ajl"]) >= {"frequency_s", "p", "k_n", "weights", "s_rj",
+    assert set(blob["ajl"]) >= {"p", "k_n", "weights", "s_rj",
                                 "gamma_dprime", "sigma_rj", "critical_value",
                                 "reject_null", "mc_seed"}
+    assert not {"lm_jump_count_dedup", "ajl_reject"} & set(blob)
+    assert "frequency_s" not in blob["ajl"] and blob["frequency_s"] == 5
+    assert blob["accepted_jumps"] == [
+        {"utc_timestamp_ns": j["time"], "size": j["size"], "xi": j["xi"],
+         "direction": "positive" if j["size"] > 0 else "negative"}
+        for j in blob["lm"]["jumps"]]
 
 
-def test_run_day_missing_partition(tmp_path):
+def test_missing_partition_is_no_data(tmp_path):
     store = TickStore(tmp_path / "store")
-    v = run_day(store, "BTC", D, CFG)
+    v = detect_day(load_day(store, "BTC", D), CFG)
     assert not v.tested and v.reason == "no_data"
 
 
@@ -149,11 +155,11 @@ def make_store_corpus(tmp_path, n_days=4, jump_days=(1, 3), n=17_280):
 def test_run_range_catalog_and_summary(tmp_path):
     store, days = make_store_corpus(tmp_path)
     catalog = tmp_path / "catalog.jsonl"
-    summary = run_range(store, ["BTC"], days, CFG, catalog_path=catalog)
-    rows = summary.per_symbol()
-    assert len(rows) == 1
-    assert rows[0].n_test_days == 4
-    assert rows[0].n_jumps >= 2               # both injected days detected
+    verdicts = run_range(store, ["BTC"], days, CFG, catalog_path=catalog)
+    assert [v.tested for v in verdicts] == [True] * 4
+    assert sum(len(v.accepted_jumps) for v in verdicts) >= 2   # both injected days
+    assert render_symbol_summary(verdicts).splitlines()[1].split()[:3] == \
+        ["BTC", str(sum(len(v.accepted_jumps) for v in verdicts)), "4"]
     clean_days = {str(days[0]), str(days[2])}
     for rec in load_catalog(catalog):
         if rec["date"] in clean_days:
@@ -172,17 +178,22 @@ def test_run_range_deterministic_bytes(tmp_path):
 
 def test_run_range_empty(tmp_path):
     out = run_range(TickStore(tmp_path / "store"), [], [], CFG)
-    assert out.verdicts == [] and out.per_symbol() == []
+    assert out == []
+    assert render_symbol_summary(out) == "Symbol    N jumps  N test days  % jumps\n"
 
 
 def test_render_symbol_summary_layout():
-    rows = [SymbolSummary("BTC", n_jumps=423, n_test_days=645),
-            SymbolSummary("ETH", n_jumps=324, n_test_days=559)]
-    txt = render_symbol_summary(rows)
+    def days(symbol, n_jumps, n_test_days, n_untested=0):
+        jumps = [1] * n_jumps + [0] * (n_test_days - n_jumps)
+        return ([DayVerdict(symbol, D, True, accepted_jumps=[{}] * j) for j in jumps]
+                + [DayVerdict(symbol, D, False, reason="frequency")] * n_untested)
+    # symbols sort; untested days count nowhere; a symbol never tested reads 0
+    verdicts = days("ETH", 324, 559, 3) + days("XRP", 0, 0, 2) + days("BTC", 423, 645)
     want = ("Symbol    N jumps  N test days  % jumps\n"
             "BTC           423          645    65.58\n"
-            "ETH           324          559    57.96\n")
-    assert txt == want
+            "ETH           324          559    57.96\n"
+            "XRP             0            0     0.00\n")
+    assert render_symbol_summary(verdicts) == want
 
 
 def test_config_hash_changes_with_settings():

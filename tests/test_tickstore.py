@@ -439,6 +439,16 @@ def test_bulk_parse_takes_the_canonical_shapes():
     assert list(ts[:2]) == [T0, 2 ** 63 - 1]
 
 
+def test_bulk_iso_takes_the_cells_around_a_refused_date():
+    cells = [f"2021-03-01T{i // 3600:02d}:{i // 60 % 60:02d}:{i % 60:02d}.25Z"
+             for i in range(0, 5 * 2048, 5)]
+    for refused in ("2021-02-30T00:00:00Z", "2021-03-01T24:00:00Z", "2021-03-01T00:00:60Z"):
+        chunk = cells[:1000] + [refused] + cells[1001:]
+        ts, ok = tickstore._iso_bulk(chunk)
+        assert ok.sum() == 2047 and not ok[1000]
+        assert [int(t) for t in ts[ok]] == [parse_iso_ns(c) for c in chunk if c != refused]
+
+
 @pytest.mark.parametrize("text", [
     "1677-09-21T00:12:43.145224192Z", "1677-09-21T00:12:43.145224191Z",
     "2262-04-11T23:47:16.854775807Z", "2262-04-11T23:47:16.854775808Z",
