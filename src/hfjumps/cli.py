@@ -1,7 +1,9 @@
 """Command line entry point: ingest, simulate, detect, analyze, report.
 
-Every artifact embeds the resolved config hash; identical inputs and
-seeds reproduce identical bytes.  Exit codes: 0 success, 1 usage,
+Only ``detect`` resolves a config; its catalog records the hash and each
+day's filter settings, and its manifest the whole config, so ``analyze``
+and ``report`` read the catalog instead.  Identical inputs and seeds
+reproduce identical bytes.  Exit codes: 0 success, 1 usage,
 2 I/O error, 3 config error.
 """
 from __future__ import annotations
@@ -44,7 +46,6 @@ def _date(text: str) -> date:
 def build_parser() -> _Parser:
     p = _Parser(prog="hfjumps",
                 description="High-frequency jump detection pipeline")
-    p.add_argument("--config", help="JSON config file (flags override it)")
     p.add_argument("-v", "--verbose", action="store_true")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -82,6 +83,7 @@ def build_parser() -> _Parser:
     pd.add_argument("--symbols", help="comma separated; default: all in store")
     pd.add_argument("--from", dest="date_from", type=_date)
     pd.add_argument("--to", dest="date_to", type=_date)
+    pd.add_argument("--config", help="JSON config file (flags override it)")
     for flag, typ in (("--alpha", float), ("--coverage", float),
                       ("--sd-cutoff", float), ("--dedup-window", int),
                       ("--lm-C", float), ("--ajl-p", int), ("--ajl-kn", int),
@@ -106,16 +108,10 @@ def build_parser() -> _Parser:
 
 
 def _resolve_config(args) -> RunConfig:
+    """The config file (or the defaults) with every detect flag that was set."""
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    overrides = {}
-    for name in ("alpha", "coverage", "sd_cutoff", "dedup_window",
-                 "ajl_p", "ajl_kn", "ajl_weights", "bonferroni",
-                 "sigma_rj_paths", "seed"):
-        if getattr(args, name, None) is not None:
-            overrides[name] = getattr(args, name)
-    if getattr(args, "lm_C", None) is not None:
-        overrides["lm_C"] = args.lm_C
-    return cfg.with_overrides(**overrides)
+    return cfg.with_overrides(**{name: getattr(args, name, None)
+                                 for name in RunConfig.field_names()})
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +153,8 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def cmd_detect(args, cfg: RunConfig) -> int:
+def cmd_detect(args) -> int:
+    cfg = _resolve_config(args)
     store = TickStore(args.store)
     symbols = ([s.strip() for s in args.symbols.split(",") if s.strip()]
                if args.symbols else store.symbols())
@@ -174,9 +171,9 @@ def cmd_detect(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_analyze(args, cfg: RunConfig) -> int:
+def cmd_analyze(args) -> int:
     records = pipeline.load_catalog(args.catalog)
-    hf_returns = pipeline.tested_returns(TickStore(args.store), records, cfg)
+    hf_returns = pipeline.tested_returns(TickStore(args.store), records)
     tables, dropped = analytics.build_tables(records, hf_returns)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -184,8 +181,8 @@ def cmd_analyze(args, cfg: RunConfig) -> int:
         _write_table(out, table)
     if dropped:
         (out / "panel_dropped.log").write_text("\n".join(dropped) + "\n")
-    meta = {"config_hash": cfg.hash(), "n_records": len(records),
-            "schema_version": pipeline.SCHEMA_VERSION}
+    meta = {"config_hashes": sorted({rec["config_hash"] for rec in records}),
+            "n_records": len(records), "schema_version": pipeline.SCHEMA_VERSION}
     (out / "tables_manifest.json").write_text(json.dumps(meta, indent=1, sort_keys=True))
     print(f"tables written to {out}")
     return EXIT_OK
@@ -200,21 +197,28 @@ def _write_table(out: Path, table: analytics.Table) -> None:
 
 
 def _load_events(path: str | None) -> list[tuple[int, str]]:
-    if path:
-        text = Path(path).read_text()
-    else:
-        text = (resources.files("hfjumps") / "data" / "events_sample.csv").read_text()
+    source = Path(path) if path else resources.files("hfjumps") / "data" / "events_sample.csv"
+    reader = csv.DictReader(source.read_text().splitlines(), restval="")
+    missing = {"utc_instant", "label"} - set(reader.fieldnames or ())
+    if missing:
+        raise OSError(f"{source} line 1: no column {sorted(missing)}")
     events = []
-    for row in csv.DictReader(text.splitlines()):
-        events.append((parse_iso_ns(row["utc_instant"]), row["label"]))
+    for row in reader:
+        try:
+            events.append((parse_iso_ns(row["utc_instant"]), row["label"]))
+        except ValueError as exc:
+            raise OSError(f"{source} line {reader.line_num}: {exc}") from None
     return sorted(events)
 
 
-def cmd_report(args, cfg: RunConfig) -> int:
+def cmd_report(args) -> int:
     records = pipeline.load_catalog(args.catalog)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     shutil.copyfile(args.catalog, out / "catalog.jsonl")
+    manifest = pipeline.manifest_path(args.catalog)
+    if manifest.exists():
+        shutil.copyfile(manifest, pipeline.manifest_path(out / "catalog.jsonl"))
     if args.tables:
         tdir = out / "tables"
         tdir.mkdir(exist_ok=True)
@@ -238,10 +242,6 @@ def cmd_report(args, cfg: RunConfig) -> int:
         for day in sorted(set(per_day) | set(event_days)):
             w.writerow([day, per_day.get(day, 0),
                         "; ".join(event_days.get(day, []))])
-
-    resolved = {"config": cfg.to_dict(), "config_hash": cfg.hash(),
-                "schema_version": pipeline.SCHEMA_VERSION}
-    (out / "config.json").write_text(json.dumps(resolved, indent=1, sort_keys=True))
     print(f"report bundle at {out}")
     return EXIT_OK
 
@@ -250,19 +250,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
+    commands = {"ingest": cmd_ingest, "simulate": cmd_simulate, "detect": cmd_detect,
+                "analyze": cmd_analyze, "report": cmd_report}
     try:
-        cfg = _resolve_config(args)
-        if args.command == "ingest":
-            return cmd_ingest(args)
-        if args.command == "simulate":
-            return cmd_simulate(args)
-        if args.command == "detect":
-            return cmd_detect(args, cfg)
-        if args.command == "analyze":
-            return cmd_analyze(args, cfg)
-        if args.command == "report":
-            return cmd_report(args, cfg)
-        raise AssertionError(args.command)
+        return commands[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

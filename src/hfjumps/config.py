@@ -10,6 +10,9 @@ from pathlib import Path
 from . import ajl
 from .errors import ConfigError
 
+# the values each annotation accepts; bool is an int subclass and is refused
+_ACCEPTS = {"int": (int,), "float": (int, float), "str": (str,)}
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -31,6 +34,10 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, _ACCEPTS[f.type]):
+                raise ConfigError(f"{f.name} must be {f.type}, not {value!r}")
         if not 0 < self.alpha < 1:
             raise ConfigError("alpha must be in (0, 1)")
         if not 0 < self.coverage <= 1:
@@ -77,9 +84,6 @@ class RunConfig:
     # -- serialization ----------------------------------------------------
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=1, sort_keys=True)
 
     def hash(self) -> str:
         canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))

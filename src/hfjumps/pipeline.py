@@ -25,7 +25,7 @@ from .tickstore import TickStore
 
 log = logging.getLogger(__name__)
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 @dataclass
@@ -42,6 +42,7 @@ class DayVerdict:
     n_points: int = 0
     n_removed: int = 0
     close_log_price: float | None = None
+    filter: dict | None = None          # filter_returns' keyword arguments
     removals: list[RemovalRecord] = field(default_factory=list)
     config_hash: str = ""
 
@@ -57,6 +58,7 @@ class DayVerdict:
             "n_points": self.n_points,
             "n_removed": self.n_removed,
             "close_log_price": self.close_log_price,
+            "filter": self.filter,
             "lm_jump_count_raw": self.lm_jump_count_raw,
             "lm": self.lm,
             "ajl": self.ajl,
@@ -80,7 +82,8 @@ def detect_day(series: AggregatedSeries, cfg: RunConfig,
         verdict.reason = "no_data"
         return verdict
 
-    filtered, removed = filter_day(series, cfg)
+    verdict.filter = {"sd_cutoff": cfg.sd_cutoff, "reversal": cfg.bounceback_reversal}
+    filtered, removed = filter_returns(series, **verdict.filter)
     verdict.removals = removed
     verdict.n_removed = len(removed)
     verdict.n_points = len(filtered)
@@ -149,26 +152,28 @@ def load_day(store: TickStore, symbol: str, utc_date: date) -> AggregatedSeries:
     return aggregate_cross_exchange(store.slice(symbol, utc_date))
 
 
-def filter_day(series: AggregatedSeries,
-               cfg: RunConfig) -> tuple[AggregatedSeries, list[RemovalRecord]]:
-    """The outlier filter at the run's settings; both tests see its output."""
-    return filter_returns(series, sd_cutoff=cfg.sd_cutoff,
-                          reversal=cfg.bounceback_reversal)
-
-
-def tested_returns(store: TickStore, records: list[dict],
-                   cfg: RunConfig) -> dict[str, list[np.ndarray]]:
+def tested_returns(store: TickStore,
+                   records: list[dict]) -> dict[str, list[np.ndarray]]:
     """Log returns of each tested catalog day, per symbol in catalog order.
 
-    The days are re-derived from the store with the preprocessing the
-    detector applied, so the tables describe the series the tests saw.
+    Each day is re-derived from the store with the filter settings its
+    record names, so the tables describe the series the tests saw.  A day
+    the store no longer yields at the recorded length raises OSError.
     """
     out: dict[str, list[np.ndarray]] = {}
     for rec in records:
         if not rec.get("tested"):
             continue
+        day = f"{rec['symbol']} {rec['date']}"
+        if not rec.get("filter"):
+            raise OSError(f"{day}: the catalog record names no filter settings "
+                          f"(schema {rec.get('schema_version')}); rerun detect")
         series = load_day(store, rec["symbol"], date.fromisoformat(rec["date"]))
-        filtered, _ = filter_day(series, cfg)
+        filtered, _ = filter_returns(series, **rec["filter"])
+        if len(filtered) != rec["n_points"]:
+            raise OSError(f"{day}: the store gives {len(filtered)} filtered points, "
+                          f"the catalog records {rec['n_points']}; the store lacks "
+                          "the day or changed after detect")
         if len(filtered) >= 2:
             out.setdefault(rec["symbol"], []).append(np.diff(filtered.log_prices))
     return out
@@ -242,20 +247,27 @@ def _write_removal_log(dir_path, verdict: DayVerdict) -> None:
 
 
 def _write_manifest(catalog_path, cfg: RunConfig, completed: int, total: int) -> None:
+    manifest = {"schema_version": SCHEMA_VERSION, "config": cfg.to_dict(),
+                "config_hash": cfg.hash(), "completed_days": completed,
+                "total_days": total, "complete": completed == total}
+    manifest_path(catalog_path).write_text(json.dumps(manifest, indent=1, sort_keys=True))
+
+
+def manifest_path(catalog_path) -> Path:
+    """The completion manifest beside a catalog: ``<catalog>.manifest.json``."""
     p = Path(catalog_path)
-    manifest = {"schema_version": SCHEMA_VERSION, "config_hash": cfg.hash(),
-                "completed_days": completed, "total_days": total,
-                "complete": completed == total}
-    p.with_suffix(p.suffix + ".manifest.json").write_text(
-        json.dumps(manifest, indent=1, sort_keys=True))
+    return p.with_name(p.name + ".manifest.json")
 
 
 def load_catalog(path) -> list[dict]:
     """Read a verdict JSONL catalog back into dictionaries."""
     out = []
     with open(path) as fh:
-        for line in fh:
+        for n, line in enumerate(fh, 1):
             line = line.strip()
             if line:
-                out.append(json.loads(line))
+                try:
+                    out.append(json.loads(line))
+                except json.JSONDecodeError as exc:
+                    raise OSError(f"{path} line {n}: not a JSON record: {exc}") from None
     return out

@@ -16,11 +16,16 @@ from pathlib import Path
 import numpy as np
 
 from hfjumps.cli import main
+from hfjumps.config import RunConfig
 
 EXPECTED = Path(__file__).parent / "data" / "analyze_tables"
 START = date(2021, 1, 4)       # a Monday
 N_DAYS = 5
 TICKS_PER_DAY = 400
+# what detect writes beside each verdict at the default config
+PROVENANCE = {"config_hash": RunConfig().hash(),
+              "filter": {"sd_cutoff": RunConfig().sd_cutoff,
+                         "reversal": RunConfig().bounceback_reversal}}
 
 # (symbol, day index, hour, minute, size)
 JUMPS = [
@@ -60,11 +65,13 @@ def build_inputs(root: Path) -> tuple[Path, Path]:
                      for sym, di, h, m, size in JUMPS if (sym, di) == (symbol, i)]
             records.append({"symbol": symbol, "date": d.isoformat(), "tested": True,
                             "reason": "", "close_log_price": float(lp[-1]),
-                            "accepted_jumps": jumps})
+                            # the filter drops the bad print
+                            "n_points": TICKS_PER_DAY - ((symbol, i) == ("BTC", 2)),
+                            "accepted_jumps": jumps, **PROVENANCE})
             level = float(lp[-1]) + sum(j["size"] for j in jumps)
     records.append({"symbol": "ETH", "date": (START + timedelta(days=N_DAYS)).isoformat(),
                     "tested": False, "reason": "frequency", "close_log_price": None,
-                    "accepted_jumps": []})
+                    "n_points": 0, "accepted_jumps": [], **PROVENANCE})
 
     ticks = root / "ticks.csv"
     with open(ticks, "w", newline="") as fh:

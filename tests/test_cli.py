@@ -1,10 +1,13 @@
 """Command line: subcommands, exit codes, artifact determinism."""
+import argparse
+import csv
 import json
 import logging
 
 import pytest
 
-from hfjumps.cli import main
+from hfjumps.cli import _resolve_config, build_parser, main
+from hfjumps.config import RunConfig
 
 
 def run(*argv):
@@ -34,9 +37,69 @@ def test_bad_config_file_exit_3(tmp_path, capsys):
     # events_file is not a config key: report takes --events
     for key in ("no_such_key", "events_file"):
         cfg.write_text(json.dumps({key: "events.csv"}))
-        assert run("--config", str(cfg), "simulate", "--out", str(tmp_path / "o"),
-                   "--days", "1") == 3
+        assert run("detect", "--config", str(cfg), "--store", str(tmp_path / "s"),
+                   "--out", str(tmp_path / "o" / "catalog.jsonl")) == 3
         assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists() and not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ("ingest", "--store", "s", "--csv", "a.csv"), ("simulate", "--out", "o"),
+    ("analyze", "--store", "s", "--catalog", "c.jsonl", "--out", "t"),
+    ("report", "--catalog", "c.jsonl", "--out", "r")])
+def test_only_detect_takes_a_config(tmp_path, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{}")
+    for argv in (("--config", str(cfg), *command), (*command, "--config", str(cfg))):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 1
+
+
+def test_every_detect_flag_sets_its_config_field():
+    non_default = {"--alpha": 0.99, "--coverage": 0.9, "--sd-cutoff": 8.0,
+                   "--dedup-window": 5, "--lm-C": 0.1, "--ajl-p": 6, "--ajl-kn": 50,
+                   "--ajl-weights": "parabola / triangle", "--bonferroni": "corpus",
+                   "--sigma-rj-paths": 100, "--seed": 5}
+    parser = build_parser()
+    detect = next(a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction)).choices["detect"]
+    options = {a.dest for a in detect._actions if a.option_strings} - {
+        "help", "store", "out", "symbols", "date_from", "date_to", "config"}
+    # a flag whose dest is not a field name would be silently ignored
+    assert options <= set(RunConfig.field_names())
+    fields = {detect._option_string_actions[flag].dest: value
+              for flag, value in non_default.items()}
+    assert set(fields) == options
+    args = parser.parse_args(["detect", "--store", "s", "--out", "o", *(
+        str(x) for item in non_default.items() for x in item)])
+    cfg, default = _resolve_config(args), RunConfig()
+    for name, value in fields.items():
+        assert getattr(cfg, name) == value != getattr(default, name), name
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"ajl_kn": 100.0}, "ajl_kn"), ({"ajl_p": 4.0}, "ajl_p"),
+    ({"ajl_kn": 50, "sigma_rj_paths": 16.0}, "sigma_rj_paths"),
+    ({"sd_cutoff": True}, "sd_cutoff"), ({"dedup_window": 10.5}, "dedup_window"),
+    ({"seed": 1.5}, "seed"), ({"alpha": "0.99"}, "alpha"),
+    ({"bonferroni": None}, "bonferroni")])
+def test_config_file_values_are_type_checked(spiked, tmp_path, capsys, doc, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out" / "catalog.jsonl"
+    assert run("detect", "--store", str(spiked / "store"), "--config", str(cfg),
+               "--out", str(out)) == 3
+    assert capsys.readouterr().err.startswith(f"config error: {field} must be ")
+    assert not out.parent.exists()
+
+
+def test_config_file_accepts_an_int_for_a_float_field(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sd_cutoff": 1000, "alpha": 0.99}))
+    args = build_parser().parse_args(["detect", "--store", "s", "--out", "o",
+                                      "--config", str(cfg), "--alpha", "0.9"])
+    assert _resolve_config(args) == RunConfig(sd_cutoff=1000, alpha=0.9)
 
 
 @pytest.mark.parametrize("flags", [("--ajl-p", "5"), ("--ajl-kn", "1"),
@@ -185,8 +248,11 @@ def test_e2e_tables_exist(e2e):
 def test_e2e_report_bundle(e2e):
     report = e2e / "report"
     assert (report / "catalog.jsonl").read_bytes() == (e2e / "catalog.jsonl").read_bytes()
-    cfgblob = json.loads((report / "config.json").read_text())
-    assert "config_hash" in cfgblob and cfgblob["config"]["alpha"] == 0.999
+    assert not (report / "config.json").exists()
+    manifest = json.loads((report / "catalog.jsonl.manifest.json").read_text())
+    assert manifest == json.loads((e2e / "catalog.jsonl.manifest.json").read_text())
+    assert manifest["config"] == RunConfig(sigma_rj_paths=100).to_dict()
+    assert manifest["config_hash"] == RunConfig(sigma_rj_paths=100).hash()
     timeline = (report / "timeline.csv").read_text().splitlines()
     assert timeline[0] == "date,n_jumps,event"
     # the packaged sample events appear as markers
@@ -207,3 +273,102 @@ def test_e2e_detect_rerun_identical(e2e):
     assert run("detect", "--store", str(e2e / "store"), "--out", str(cat2),
                "--sigma-rj-paths", "100") == 0
     assert cat2.read_bytes() == (e2e / "catalog.jsonl").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def spiked(tmp_path_factory):
+    """Two 15-s days, the second holding one +5% print, detected one day at a
+    time: day 1 at the defaults, day 2 at ``--sd-cutoff 1000``, which keeps
+    the print."""
+    root = tmp_path_factory.mktemp("spiked")
+    corpus, store = root / "corpus", root / "store"
+    assert run("simulate", "--out", str(corpus), "--days", "2", "--symbol", "BTC",
+               "--seed", "4", "--ticks-per-day", "5760") == 0
+    day2 = corpus / "ticks_BTC_2021-01-02.csv"
+    lines = day2.read_text().splitlines()
+    time, exchange, symbol, price = lines[3000].split(",")
+    lines[3000] = ",".join((time, exchange, symbol, repr(float(price) * 1.05)))
+    day2.write_text("\n".join(lines) + "\n")
+    assert run("ingest", "--store", str(store),
+               "--csv", *sorted(str(p) for p in corpus.glob("*.csv"))) == 0
+    parts = []
+    for day, extra in (("2021-01-01", ()), ("2021-01-02", ("--sd-cutoff", "1000"))):
+        out = root / day / "catalog.jsonl"
+        assert run("detect", "--store", str(store), "--out", str(out),
+                   "--from", day, "--to", day, *extra) == 0
+        parts.append(out.read_text())
+    # concatenated as a daily job appends its per-day catalogs: no manifest
+    (root / "catalog.jsonl").write_text("".join(parts))
+    return root
+
+
+def test_tables_follow_each_records_filter_settings(spiked, tmp_path):
+    recs = [json.loads(line) for line in (spiked / "catalog.jsonl").read_text().splitlines()]
+    assert [(r["tested"], r["n_removed"]) for r in recs] == [(True, 0), (True, 0)]
+    assert [r["filter"]["sd_cutoff"] for r in recs] == [10.0, 1000.0]
+    tables = tmp_path / "tables"
+    assert run("analyze", "--store", str(spiked / "store"),
+               "--catalog", str(spiked / "catalog.jsonl"), "--out", str(tables)) == 0
+    [hf] = csv.DictReader((tables / "returns_hf_summary.csv").open())
+    assert int(hf["n"]) == sum(r["n_points"] - 1 for r in recs)
+    assert float(hf["max"]) > 0.04                # the kept print
+    meta = json.loads((tables / "tables_manifest.json").read_text())
+    assert meta["config_hashes"] == sorted({r["config_hash"] for r in recs})
+    assert len(meta["config_hashes"]) == 2 and meta["schema_version"] == 3
+
+
+def test_detect_manifest_holds_the_config(spiked):
+    manifest = json.loads((spiked / "2021-01-02" / "catalog.jsonl.manifest.json").read_text())
+    cfg = RunConfig(sd_cutoff=1000.0)
+    assert manifest["config"] == cfg.to_dict() and manifest["config_hash"] == cfg.hash()
+
+
+def test_analyze_exits_2_when_the_store_lacks_a_tested_day(spiked, tmp_path, capsys):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    tables = tmp_path / "tables"
+    assert run("analyze", "--store", str(empty), "--catalog", str(spiked / "catalog.jsonl"),
+               "--out", str(tables)) == 2
+    n_points = json.loads((spiked / "catalog.jsonl").read_text().splitlines()[0])["n_points"]
+    assert capsys.readouterr().err.startswith(
+        f"i/o error: BTC 2021-01-01: the store gives 0 filtered points, "
+        f"the catalog records {n_points}")
+    assert not tables.exists()
+
+
+def test_analyze_exits_2_on_a_record_without_filter_settings(spiked, tmp_path, capsys):
+    recs = [json.loads(line) for line in (spiked / "catalog.jsonl").read_text().splitlines()]
+    del recs[1]["filter"]
+    recs[1]["schema_version"] = 2
+    catalog = tmp_path / "catalog.jsonl"
+    catalog.write_text("".join(json.dumps(r) + "\n" for r in recs))
+    tables = tmp_path / "tables"
+    assert run("analyze", "--store", str(spiked / "store"), "--catalog", str(catalog),
+               "--out", str(tables)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: BTC 2021-01-02: ") and "rerun detect" in err
+    assert not tables.exists()
+
+
+def test_truncated_catalog_line_is_an_io_error(spiked, tmp_path, capsys):
+    catalog = tmp_path / "catalog.jsonl"
+    text = (spiked / "catalog.jsonl").read_text()
+    catalog.write_text(text + text.splitlines()[0][:40])     # an interrupted write
+    for argv in (("analyze", "--store", str(spiked / "store"), "--out", str(tmp_path / "t")),
+                 ("report", "--out", str(tmp_path / "r"))):
+        assert run(argv[0], "--catalog", str(catalog), *argv[1:]) == 2
+        assert capsys.readouterr().err.startswith(f"i/o error: {catalog} line 3: ")
+
+
+@pytest.mark.parametrize("events, message", [
+    ("utc_instant,label\n2020-05-11T19:30:00Z,ok\n2020-13-01,bad month\n",
+     "line 3: unparseable timestamp '2020-13-01'"),
+    ("label,utc_instant\nno time\n", "line 2: unparseable timestamp ''"),  # a short row
+    ("when,label\n2020-05-11T19:30:00Z,ok\n", "line 1: no column ['utc_instant']"),
+])
+def test_malformed_events_file_is_an_io_error(spiked, tmp_path, capsys, events, message):
+    path = tmp_path / "events.csv"
+    path.write_text(events)
+    assert run("report", "--catalog", str(spiked / "catalog.jsonl"),
+               "--events", str(path), "--out", str(tmp_path / "r")) == 2
+    assert capsys.readouterr().err == f"i/o error: {path} {message}\n"

@@ -106,8 +106,10 @@ def test_combination_rule_counts_preserved_when_ajl_accepts(monkeypatch):
 def test_day_verdict_json_round_trip():
     v = detect_day(sim_series(35, jumps=[(0.3, -0.02)]), CFG)
     blob = json.loads(v.to_json())
-    assert blob["schema_version"] == 2
+    assert blob["schema_version"] == 3
     assert blob["config_hash"] == CFG.hash()
+    assert blob["filter"] == {"sd_cutoff": CFG.sd_cutoff,
+                              "reversal": CFG.bounceback_reversal}
     assert blob["symbol"] == "BTC" and blob["date"] == "2021-03-01"
     assert isinstance(blob["accepted_jumps"], list)
     assert set(blob["lm"]) >= {"k", "M", "C", "n_blocks", "q_hat_sq",
