@@ -488,10 +488,13 @@ def _calibrate(n_prices: int, params: AjlParams, ratio_key: str) -> tuple[float,
     return std, seed, f"monte carlo key {ratio_key} {outcome}"
 
 
-def plugin_noise_ratio(log_prices: np.ndarray, clip_sds: float = 10.0) -> float:
+CLIP_SDS = 10.0     # plug-in returns are clipped at this many robust SDs
+
+
+def plugin_noise_ratio(log_prices: np.ndarray) -> float:
     """q/sigma plug-in for the null calibration, robust to in-sample jumps.
 
-    Returns are clipped at ``clip_sds`` robust standard deviations
+    Returns are clipped at ``CLIP_SDS`` robust standard deviations
     (1.4826 * MAD) before the two-scale noise/volatility estimation, so
     a genuine jump in the day cannot zero out the volatility estimate.
     Only the calibration uses this; the statistic itself sees raw data.
@@ -502,7 +505,7 @@ def plugin_noise_ratio(log_prices: np.ndarray, clip_sds: float = 10.0) -> float:
     r = np.diff(p)
     scale = 1.4826 * float(np.median(np.abs(r)))
     if scale > 0:
-        r = np.clip(r, -clip_sds * scale, clip_sds * scale)
+        r = np.clip(r, -CLIP_SDS * scale, CLIP_SDS * scale)
     clipped = np.concatenate(([p[0]], p[0] + np.cumsum(r)))
     est = estimate_noise(clipped, k=1)
     q = sqrt(est.q_hat_sq)

@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,12 +39,15 @@ class RunConfig:
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, _ACCEPTS[f.type]):
                 raise ConfigError(f"{f.name} must be {f.type}, not {value!r}")
+            if f.type == "float" and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, not {value!r}")
         if not 0 < self.alpha < 1:
             raise ConfigError("alpha must be in (0, 1)")
         if not 0 < self.coverage <= 1:
             raise ConfigError("coverage must be in (0, 1]")
-        if self.sd_cutoff <= 0:
-            raise ConfigError("sd_cutoff must be positive")
+        for name in ("sd_cutoff", "lm_C"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive")
         if self.dedup_window < 0:
             raise ConfigError("dedup_window must be >= 0")
         if self.bonferroni not in ("within-day", "corpus", "off"):

@@ -10,7 +10,7 @@ structure), averages blocks of ``M`` subsamples into pre-averaged prices
     ``chi(j)  = sqrt(M) * P_bar(j) / sqrt(V_n)``,
 
 where ``V_n`` is the limiting variance ``(2/3) sigma^2 C^2 T + 2 q^2``
-of ``sqrt(M) P_bar``.  Standardized extremes
+of ``sqrt(M) P_bar`` over one day (T = 1).  Standardized extremes
 
     ``xi(j) = (|chi(j)| - A_n) / B_n``
 
@@ -115,12 +115,12 @@ class LmDayResult:
         return [m for m in self.moments if m.is_jump]
 
 
-def select_k(log_prices: np.ndarray, k_min: int = K_MIN, k_max: int = K_MAX) -> int:
+def select_k(log_prices: np.ndarray) -> int:
     """Subsampling lag from the return autocorrelation structure.
 
     k - 1 is the smallest lag at which the sample autocorrelation of the
     tick log returns falls inside the +-1.96/sqrt(n) band; the result is
-    clamped to [k_min, k_max].  Dependent noise pushes k up, i.i.d.
+    clamped to [K_MIN, K_MAX].  Dependent noise pushes k up, i.i.d.
     returns give the floor.
     """
     p = np.asarray(log_prices, dtype=float)
@@ -128,24 +128,23 @@ def select_k(log_prices: np.ndarray, k_min: int = K_MIN, k_max: int = K_MAX) -> 
         raise DayRejected("lm_short", f"{len(p)} ticks < 1000")
     r = np.diff(p)
     r = r - r.mean()
-    denom = float(np.dot(r, r))
+    denom = float(np.sum(r * r))
     if denom == 0:
-        return k_min
+        return K_MIN
     n = len(r)
     band = 1.96 / sqrt(n)
     first_inside = None
-    for lag in range(1, k_max + 2):
-        rho = float(np.dot(r[:-lag], r[lag:])) / denom
+    for lag in range(1, K_MAX + 2):
+        rho = float(np.sum(r[:-lag] * r[lag:])) / denom
         if abs(rho) <= band:
             first_inside = lag
             break
     if first_inside is None:
-        return k_max
-    return min(max(first_inside + 1, k_min), k_max)
+        return K_MAX
+    return min(max(first_inside + 1, K_MIN), K_MAX)
 
 
-def estimate_noise(log_prices: np.ndarray, k: int, C: float = 0.05,
-                   T: float = 1.0) -> NoiseEstimate:
+def estimate_noise(log_prices: np.ndarray, k: int, C: float = 0.05) -> NoiseEstimate:
     """Estimate q^2, sigma^2 and the variance term V_n.
 
     q^2 is the k-lag difference estimator
@@ -171,7 +170,7 @@ def estimate_noise(log_prices: np.ndarray, k: int, C: float = 0.05,
     if n <= k + 1:
         raise ValueError(f"need more than k+1={k + 1} observations, got {n}")
     d = p[: n - k] - p[k:]
-    q2 = float(np.dot(d, d)) / (2 * (n - k))
+    q2 = float(np.sum(d * d)) / (2 * (n - k))
 
     k_sigma = max(2 * k, min(10 * k, n // 200))
     sub = p[::k_sigma]
@@ -183,9 +182,9 @@ def estimate_noise(log_prices: np.ndarray, k: int, C: float = 0.05,
             rho = min(0.0, max(-0.9999, -q2 / v))
             mu = sqrt(1.0 - rho * rho) + rho * asin(rho)
             n_pairs = len(r) - 1
-            bv = (pi / 2) / mu * float(np.dot(np.abs(r[:-1]), np.abs(r[1:]))) / n_pairs
+            bv = (pi / 2) / mu * float(np.sum(np.abs(r[:-1]) * np.abs(r[1:]))) / n_pairs
             sigma2 = max(0.0, (bv - 2.0 * q2) * n / (k_sigma - k))
-    v_n = (2.0 / 3.0) * sigma2 * C * C * T + 2.0 * q2
+    v_n = (2.0 / 3.0) * sigma2 * C * C + 2.0 * q2
     return NoiseEstimate(q_hat_sq=q2, sigma_hat_sq=sigma2, v_n=v_n)
 
 

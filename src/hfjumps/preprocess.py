@@ -4,17 +4,19 @@ The chain is: average simultaneous cross-exchange observations into one
 log-price path, strip bounceback outliers and returns beyond a standard
 deviation cutoff, pick the finest sampling frequency (1/5/10/15 s) with
 at least 95% bin coverage, and build the gap-free equispaced series by
-carrying the last observed price forward.
+carrying the last observed price forward.  Bin counting relies on an
+aggregated series being strictly increasing in time, as aggregation
+emits it and the filter, which only deletes points, keeps it.
 """
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from datetime import date, datetime, timezone
+from datetime import date
 
 import numpy as np
 
-from .tickstore import SymbolDaySlice
+from .tickstore import SymbolDaySlice, day_start_ns
 
 log = logging.getLogger(__name__)
 
@@ -34,19 +36,11 @@ class AggregatedSeries:
     def __len__(self) -> int:
         return len(self.timestamps_ns)
 
-    def day_start_ns(self) -> int:
-        dt = datetime(self.utc_date.year, self.utc_date.month, self.utc_date.day,
-                      tzinfo=timezone.utc)
-        return int(dt.timestamp()) * 10 ** 9
-
 
 @dataclass
 class EquispacedSeries:
-    """Gap-free log-price grid covering the 24h day at ``frequency_s`` seconds."""
+    """Gap-free log-price grid covering the 24h day, one price per bin."""
 
-    symbol: str
-    utc_date: date
-    frequency_s: int
     log_prices: np.ndarray
 
     def __len__(self) -> int:
@@ -148,14 +142,13 @@ def filter_returns(series: AggregatedSeries, sd_cutoff: float = 10.0,
     return out, removed
 
 
-def populated_bins(series: AggregatedSeries, frequency_s: int) -> int:
-    offs = series.timestamps_ns - series.day_start_ns()
-    bins = offs // (frequency_s * 10 ** 9)
-    return len(np.unique(bins))
+def _bins(series: AggregatedSeries, frequency_s: int) -> np.ndarray:
+    """Each point's bin of ``frequency_s`` seconds since the day's midnight."""
+    offs = series.timestamps_ns - day_start_ns(series.utc_date)
+    return offs // (frequency_s * 10 ** 9)
 
 
-def select_frequency(series: AggregatedSeries, frequencies=FREQUENCIES,
-                     coverage: float = 0.95) -> int | None:
+def select_frequency(series: AggregatedSeries, coverage: float = 0.95) -> int | None:
     """Finest frequency whose bin coverage reaches ``coverage``; None rejects the day.
 
     Coverage counts populated bins, not raw ticks: duplicate ticks inside
@@ -164,10 +157,10 @@ def select_frequency(series: AggregatedSeries, frequencies=FREQUENCIES,
     """
     if len(series) == 0:
         return None
-    for f in sorted(frequencies):
-        total = DAY_SECONDS // f
+    for f in FREQUENCIES:
+        populated = 1 + np.count_nonzero(np.diff(_bins(series, f)))
         # small epsilon so 0.95 * total compares exactly at the boundary
-        if populated_bins(series, f) >= coverage * total - 1e-9:
+        if populated >= coverage * (DAY_SECONDS // f) - 1e-9:
             return f
     return None
 
@@ -179,19 +172,12 @@ def make_equispaced(series: AggregatedSeries, frequency_s: int) -> EquispacedSer
     head fill is the only deviation from pure carry-forward and is
     logged per day.
     """
-    n_bins = DAY_SECONDS // frequency_s
-    offs = series.timestamps_ns - series.day_start_ns()
-    bins = (offs // (frequency_s * 10 ** 9)).astype(np.int64)
-    grid = np.full(n_bins, np.nan)
-    # keep the last observation per bin: first occurrence in the reversed series
-    uniq, pos = np.unique(bins[::-1], return_index=True)
-    grid[uniq] = series.log_prices[::-1][pos]
-    mask = ~np.isnan(grid)
-    idx = np.where(mask, np.arange(n_bins), -1)
-    np.maximum.accumulate(idx, out=idx)
-    first = int(np.argmax(mask))
+    bins = _bins(series, frequency_s)
+    # the last observation at or before each bin
+    last = np.searchsorted(bins, np.arange(DAY_SECONDS // frequency_s), side="right") - 1
+    first = int(bins[0])
     if first > 0:
         log.info("make_equispaced: %s %s back-filled %d head bins",
                  series.symbol, series.utc_date, first)
-    idx[idx < 0] = first
-    return EquispacedSeries(series.symbol, series.utc_date, frequency_s, grid[idx])
+        last[:first] = last[first]
+    return EquispacedSeries(series.log_prices[last])

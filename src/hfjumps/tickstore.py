@@ -265,6 +265,11 @@ def utc_date(ts_ns: int) -> date:
     return date.fromordinal(_EPOCH_ORDINAL + ts_ns // DAY_NS)
 
 
+def day_start_ns(day: date) -> int:
+    """Epoch-ns of a UTC day's midnight, the inverse of ``utc_date``."""
+    return (day.toordinal() - _EPOCH_ORDINAL) * DAY_NS
+
+
 # a rejected row's reason by code; the lower code wins when several apply
 _REASONS = ("", "bad timestamp", "bad price", "non-positive price", "missing field",
             "bad symbol")

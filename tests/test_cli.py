@@ -3,6 +3,10 @@ import argparse
 import csv
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -83,7 +87,13 @@ def test_every_detect_flag_sets_its_config_field():
     ({"ajl_kn": 50, "sigma_rj_paths": 16.0}, "sigma_rj_paths"),
     ({"sd_cutoff": True}, "sd_cutoff"), ({"dedup_window": 10.5}, "dedup_window"),
     ({"seed": 1.5}, "seed"), ({"alpha": "0.99"}, "alpha"),
-    ({"bonferroni": None}, "bonferroni")])
+    ({"bonferroni": None}, "bonferroni"),
+    ({"sd_cutoff": float("nan")}, "sd_cutoff"), ({"sd_cutoff": float("inf")}, "sd_cutoff"),
+    ({"lm_C": float("nan")}, "lm_C"), ({"lm_C": float("inf")}, "lm_C"),
+    ({"lm_C": float("-inf")}, "lm_C"), ({"lm_C": 0}, "lm_C"), ({"lm_C": -0.05}, "lm_C"),
+    ({"bounceback_reversal": float("nan")}, "bounceback_reversal"),
+    ({"bounceback_reversal": float("inf")}, "bounceback_reversal"),
+    ({"bounceback_reversal": float("-inf")}, "bounceback_reversal")])
 def test_config_file_values_are_type_checked(spiked, tmp_path, capsys, doc, field):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
@@ -372,3 +382,35 @@ def test_malformed_events_file_is_an_io_error(spiked, tmp_path, capsys, events, 
     assert run("report", "--catalog", str(spiked / "catalog.jsonl"),
                "--events", str(path), "--out", str(tmp_path / "r")) == 2
     assert capsys.readouterr().err == f"i/o error: {path} {message}\n"
+
+
+def test_catalog_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """simulate -> ingest -> detect on a 1-s day, in fresh processes pinned
+    to at most 2 CPUs, with OPENBLAS_NUM_THREADS unset, 1 and 2.  Reductions
+    over the ~86,400 ticks of such a day must not go through threaded BLAS,
+    whose summation order follows the thread count."""
+    cpus = sorted(os.sched_getaffinity(0))[:2]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    base["PYTHONPATH"] = os.pathsep.join(p for p in (src, base.get("PYTHONPATH")) if p)
+
+    def cli(env, *argv):
+        proc = subprocess.run([sys.executable, "-m", "hfjumps.cli", *argv],
+                              capture_output=True, text=True, env=env,
+                              preexec_fn=lambda: os.sched_setaffinity(0, cpus))
+        assert proc.returncode == 0, proc.stderr
+
+    catalogs = {}
+    for threads in (None, "1", "2"):
+        env = base if threads is None else dict(base, OPENBLAS_NUM_THREADS=threads)
+        root = tmp_path / str(threads)
+        cli(env, "simulate", "--out", str(root / "corpus"), "--days", "1",
+            "--symbol", "BTC", "--ticks-per-day", "86400", "--seed", "2")
+        cli(env, "ingest", "--store", str(root / "store"),
+            "--csv", *sorted(str(p) for p in (root / "corpus").glob("*.csv")))
+        cli(env, "detect", "--store", str(root / "store"),
+            "--out", str(root / "catalog.jsonl"))
+        catalogs[threads] = (root / "catalog.jsonl").read_bytes()
+    assert json.loads(catalogs[None])["tested"]
+    assert catalogs[None] == catalogs["1"] == catalogs["2"]

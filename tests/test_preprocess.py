@@ -3,10 +3,10 @@ from datetime import date
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hfjumps.preprocess import (DAY_SECONDS, AggregatedSeries,
+from hfjumps.preprocess import (DAY_SECONDS, FREQUENCIES, AggregatedSeries,
                                 aggregate_cross_exchange, filter_returns,
                                 make_equispaced, select_frequency)
 from hfjumps.tickstore import SymbolDaySlice
@@ -224,12 +224,12 @@ def test_select_frequency_monotone_under_added_observations():
 # make_equispaced
 # ---------------------------------------------------------------------------
 
-def locf_oracle(seconds, logp, f):
+def locf_oracle(offsets_ns, logp, f):
     """Brute-force per-bin last-observation-carried-forward."""
     n_bins = DAY_SECONDS // f
     out = [None] * n_bins
-    for s, v in zip(seconds, logp):
-        out[int(s) // f] = v                  # inputs are time-ordered
+    for o, v in zip(offsets_ns, logp):
+        out[int(o) // (f * 10 ** 9)] = v      # inputs are time-ordered
     first = next(i for i, v in enumerate(out) if v is not None)
     for i in range(n_bins):
         if out[i] is None:
@@ -264,7 +264,8 @@ def test_make_equispaced_random_mask_matches_oracle():
     logp = rng.normal(0, 1.0, len(seconds))
     series = make_series(seconds, logp)
     eq = make_equispaced(series, f)
-    np.testing.assert_array_equal(eq.log_prices, locf_oracle(seconds, logp, f))
+    np.testing.assert_array_equal(eq.log_prices,
+                                  locf_oracle(seconds * 10 ** 9, logp, f))
 
 
 def test_make_equispaced_head_backfill():
@@ -283,3 +284,47 @@ def test_make_equispaced_last_obs_in_bin_wins():
 def test_make_equispaced_exact_length(f):
     series = make_series([0, 50_000], [1.0, 2.0])
     assert len(make_equispaced(series, f)) == DAY_SECONDS // f
+
+
+@st.composite
+def day_offsets(draw):
+    """Strictly increasing ns offsets within one day.
+
+    Runs of seconds, each after a run of empty seconds (the first of them
+    a head gap), populate a drawn share of their seconds with 1-3 ticks
+    each, so coarser bins hold many ticks and finer ones are often empty;
+    the day's last nanosecond may be added.
+    """
+    runs = draw(st.lists(st.tuples(st.integers(0, 2_000), st.integers(1, 43_200),
+                                   st.sampled_from([1.0, 0.9, 0.5, 0.1]),
+                                   st.integers(1, 3)), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    parts, second = [], 0
+    for gap, length, share, ticks in runs:
+        seconds = np.arange(second + gap, min(second + gap + length, DAY_SECONDS))
+        seconds = seconds[rng.random(len(seconds)) < share]
+        second += gap + length
+        parts.append((seconds[:, None] * 10 ** 9
+                      + rng.integers(0, 10 ** 9, (len(seconds), ticks))).ravel())
+    if draw(st.booleans()):
+        parts.append(np.array([DAY_SECONDS * 10 ** 9 - 1]))
+    offsets = np.unique(np.concatenate(parts).astype(np.int64))
+    assume(len(offsets) > 0)
+    return offsets, rng.normal(0.0, 1.0, len(offsets))
+
+
+@settings(max_examples=25, deadline=None)
+@given(day_offsets(), st.data())
+def test_grid_and_coverage_match_brute_force_oracles(day, data):
+    offsets, logp = day
+    series = AggregatedSeries("BTC", D, T0 + offsets, logp)
+    for f in FREQUENCIES:
+        np.testing.assert_array_equal(make_equispaced(series, f).log_prices,
+                                      locf_oracle(offsets, logp, f))
+    populated = {f: len({int(o) // (f * 10 ** 9) for o in offsets}) for f in FREQUENCIES}
+    # any coverage, or one that a frequency reaches exactly
+    coverage = data.draw(st.floats(0.01, 1.0) | st.sampled_from(
+        [populated[f] / (DAY_SECONDS // f) for f in FREQUENCIES]))
+    want = next((f for f in FREQUENCIES
+                 if populated[f] >= coverage * (DAY_SECONDS // f) - 1e-9), None)
+    assert select_frequency(series, coverage=coverage) == want

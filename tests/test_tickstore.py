@@ -3,7 +3,7 @@ import csv
 import hashlib
 import json
 import tracemalloc
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from hfjumps import tickstore
 from hfjumps.simulate import SimConfig, make_corpus
-from hfjumps.tickstore import (CsvSchema, TickStore, parse_epoch_ns,
+from hfjumps.tickstore import (CsvSchema, TickStore, day_start_ns, parse_epoch_ns,
                                parse_iso_ns, utc_date)
 
 DAY_NS = 86_400 * 10 ** 9
@@ -57,6 +57,15 @@ def test_utc_date_last_nanosecond_of_day():
     assert utc_date(parse_iso_ns("2021-01-01T23:59:59.999999999Z")) == date(2021, 1, 1)
     assert utc_date(parse_iso_ns("2021-01-02T00:00:00Z")) == date(2021, 1, 2)
     assert utc_date(T0 - 1) == date(2021, 2, 28)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dates(date(1970, 1, 1), date(2200, 12, 31)))
+def test_day_start_ns_is_the_inverse_of_utc_date(day):
+    start = day_start_ns(day)
+    assert start == parse_iso_ns(f"{day.isoformat()}T00:00:00Z")
+    assert utc_date(start) == day
+    assert utc_date(start - 1) == day - timedelta(days=1)
 
 
 # ---------------------------------------------------------------------------
