@@ -5,6 +5,9 @@ day's filter settings, and its manifest the whole config, so ``analyze``
 and ``report`` read the catalog instead.  Identical inputs and seeds
 reproduce identical bytes.  Exit codes: 0 success, 1 usage,
 2 I/O error, 3 config error.
+
+Each command imports only the modules it uses, and ``main`` asks for one
+BLAS/OpenMP thread before numpy loads (see ``_one_blas_thread``).
 """
 from __future__ import annotations
 
@@ -12,17 +15,19 @@ import argparse
 import csv
 import json
 import logging
+import os
 import shutil
 import sys
 from datetime import date
 from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import analytics, pipeline
-from .config import RunConfig
 from .errors import ConfigError
-from .simulate import SimConfig, make_corpus
-from .tickstore import CsvSchema, TickStore, parse_iso_ns, utc_date
+
+if TYPE_CHECKING:
+    from .analytics import Table
+    from .config import RunConfig
 
 log = logging.getLogger("hfjumps")
 
@@ -30,6 +35,11 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_CONFIG = 3
+
+# numpy's BLAS reads these once, when numpy loads.  No command gains from a
+# thread pool (the detect path's long reductions avoid BLAS, and analyze's
+# matrices are small), yet starting one costs every process CPU time.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -109,6 +119,8 @@ def build_parser() -> _Parser:
 
 def _resolve_config(args) -> RunConfig:
     """The config file (or the defaults) with every detect flag that was set."""
+    from .config import RunConfig
+
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
     return cfg.with_overrides(**{name: getattr(args, name, None)
                                  for name in RunConfig.field_names()})
@@ -119,6 +131,8 @@ def _resolve_config(args) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def cmd_ingest(args) -> int:
+    from .tickstore import CsvSchema, TickStore
+
     store = TickStore(args.store)
     schema = CsvSchema(time=args.col_time, exchange=args.col_exchange,
                        symbol=args.col_symbol, price=args.col_price)
@@ -138,6 +152,8 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .simulate import SimConfig, make_corpus
+
     base = SimConfig(sigma=args.sigma, q=args.noise_q, n=args.ticks_per_day,
                      seed=args.seed, jump_intensity=args.jumps,
                      jump_fixed_size=args.jump_size,
@@ -154,6 +170,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_detect(args) -> int:
+    from . import pipeline
+    from .tickstore import TickStore
+
     cfg = _resolve_config(args)
     store = TickStore(args.store)
     symbols = ([s.strip() for s in args.symbols.split(",") if s.strip()]
@@ -172,6 +191,9 @@ def cmd_detect(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from . import analytics, pipeline
+    from .tickstore import TickStore
+
     records = pipeline.load_catalog(args.catalog)
     hf_returns = pipeline.tested_returns(TickStore(args.store), records)
     tables, dropped = analytics.build_tables(records, hf_returns)
@@ -188,7 +210,7 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _write_table(out: Path, table: analytics.Table) -> None:
+def _write_table(out: Path, table: Table) -> None:
     if table.rows is not None:
         with open(out / f"{table.name}.csv", "w", newline="") as fh:
             csv.writer(fh).writerows([table.header, *table.rows])
@@ -197,6 +219,8 @@ def _write_table(out: Path, table: analytics.Table) -> None:
 
 
 def _load_events(path: str | None) -> list[tuple[int, str]]:
+    from .tickstore import parse_iso_ns
+
     source = Path(path) if path else resources.files("hfjumps") / "data" / "events_sample.csv"
     reader = csv.DictReader(source.read_text().splitlines(), restval="")
     missing = {"utc_instant", "label"} - set(reader.fieldnames or ())
@@ -212,6 +236,9 @@ def _load_events(path: str | None) -> list[tuple[int, str]]:
 
 
 def cmd_report(args) -> int:
+    from . import pipeline
+    from .tickstore import utc_date
+
     records = pipeline.load_catalog(args.catalog)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -227,7 +254,8 @@ def cmd_report(args) -> int:
                 shutil.copyfile(f, tdir / f.name)
     events = _load_events(args.events)
 
-    # timeline: per (symbol-day) jump counts with event markers inline
+    # timeline: each date's jump count, summed over symbols, with that
+    # date's event labels inline
     per_day: dict[str, int] = {}
     for rec in records:
         key = rec["date"]
@@ -246,7 +274,19 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+def _one_blas_thread() -> None:
+    """Default the BLAS/OpenMP thread counts to 1 unless the user set them.
+
+    Only before numpy is imported: afterwards the setting has no effect,
+    so an in-process caller that already loaded numpy sees no change.
+    """
+    if "numpy" not in sys.modules:
+        for var in BLAS_THREAD_VARS:
+            os.environ.setdefault(var, "1")
+
+
 def main(argv=None) -> int:
+    _one_blas_thread()
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")

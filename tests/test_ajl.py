@@ -1,5 +1,4 @@
 """Day-level ratio test: rho system, weights, power variation, decision."""
-import os
 import subprocess
 import sys
 from math import comb, sqrt
@@ -270,24 +269,6 @@ def test_ajl_test_z_matches_scipy_norm_ppf(monkeypatch):
         res = ajl_test(path, AjlParams(alpha=alpha, k_n=20, sigma_rj_paths=8))
         want = stats.norm.ppf(alpha)
         assert abs((res.gamma_dprime - res.critical_value) - want) <= 1e-15 * want
-
-
-def test_cli_import_and_ajl_test_load_no_scipy():
-    code = ("import sys\n"
-            "import numpy as np\n"
-            "import hfjumps.cli\n"
-            "from hfjumps.ajl import AjlParams, ajl_test\n"
-            "rng = np.random.default_rng(0)\n"
-            "x = np.cumsum(rng.normal(0, 1e-3, 2000)) + rng.normal(0, 1e-4, 2000)\n"
-            "ajl_test(x, AjlParams(k_n=20, sigma_rj_paths=8))\n"
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

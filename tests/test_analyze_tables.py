@@ -7,9 +7,6 @@ are populated.  The expected files live in ``tests/data/analyze_tables``.
 """
 import csv
 import json
-import os
-import subprocess
-import sys
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
@@ -109,23 +106,3 @@ def test_pinned_fixture_populates_every_table():
     assert (EXPECTED / "panel_dropped.log").read_text().count("\n") == 2
     hf = list(csv.reader((EXPECTED / "returns_hf_summary.csv").open()))
     assert [r[0] for r in hf[1:]] == ["BTC", "ETH"]
-
-
-def test_analyze_loads_no_scipy(tmp_path):
-    store, catalog = build_inputs(tmp_path)
-    tables = tmp_path / "tables"
-    code = ("import sys\n"
-            "from hfjumps.cli import main\n"
-            f"assert main(['analyze', '--store', {str(store)!r}, '--catalog', {str(catalog)!r},"
-            f" '--out', {str(tables)!r}]) == 0\n"
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.strip().splitlines()[-1] == "[]"
-    # every regression column was estimated, so every p-value was computed
-    rows = list(csv.DictReader((tables / "regression.csv").open()))
-    assert len(rows) == 4 and all(0.0 < float(r["p"]) < 1.0 for r in rows)

@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from hfjumps.cli import _resolve_config, build_parser, main
+from hfjumps.cli import BLAS_THREAD_VARS, _resolve_config, build_parser, main
 from hfjumps.config import RunConfig
+from test_analyze_tables import EXPECTED as PINNED_TABLES, build_inputs
 
 
 def run(*argv):
@@ -384,16 +385,146 @@ def test_malformed_events_file_is_an_io_error(spiked, tmp_path, capsys, events, 
     assert capsys.readouterr().err == f"i/o error: {path} {message}\n"
 
 
-def test_catalog_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
-    """simulate -> ingest -> detect on a 1-s day, in fresh processes pinned
-    to at most 2 CPUs, with OPENBLAS_NUM_THREADS unset, 1 and 2.  Reductions
-    over the ~86,400 ticks of such a day must not go through threaded BLAS,
-    whose summation order follows the thread count."""
+# ---------------------------------------------------------------------------
+# process start-up: the modules each command loads, one BLAS thread, and
+# artifacts that do not depend on the thread count
+# ---------------------------------------------------------------------------
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def fresh_env(**overrides):
+    """This environment with the package sources on the path, the BLAS
+    thread variables removed, and then ``overrides`` set."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in (*BLAS_THREAD_VARS, "GOTO_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return {**env, **overrides}
+
+
+# PRELUDE, then main(argv), then one JSON line: what the prelude put in
+# ``seen``, and what the process loaded, set and runs
+FRESH_MAIN = """
+import json, os, sys
+seen = {}
+PRELUDE
+from hfjumps.cli import BLAS_THREAD_VARS, main
+environ = dict(os.environ)
+seen["rc"] = main(json.loads(sys.argv[1]))
+seen["environ_unchanged"] = dict(os.environ) == environ
+seen["hfjumps"] = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("hfjumps."))
+seen["scipy"] = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+seen["env"] = {v: os.environ.get(v) for v in BLAS_THREAD_VARS}
+tasks = "/proc/self/task"
+seen["threads"] = len(os.listdir(tasks)) if os.path.isdir(tasks) else None
+print(json.dumps(seen))
+"""
+
+
+def fresh_main(prelude, argv, env=None):
+    """``FRESH_MAIN`` in a fresh interpreter; the JSON it prints."""
+    code = FRESH_MAIN.replace("PRELUDE", prelude)
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(argv)],
+                          env=fresh_env() if env is None else env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen["rc"] == 0
+    return seen
+
+
+@pytest.fixture(scope="module")
+def startup_inputs(tmp_path_factory):
+    """The pinned analyze inputs (tick CSV, store, catalog) and a store
+    holding one simulated 5-s day."""
+    root = tmp_path_factory.mktemp("startup")
+    (root / "pinned").mkdir()
+    store, catalog = build_inputs(root / "pinned")
+    corpus = root / "corpus"
+    assert run("simulate", "--out", str(corpus), "--days", "1", "--symbol", "BTC",
+               "--seed", "3") == 0
+    assert run("ingest", "--store", str(root / "sim_store"),
+               "--csv", *sorted(str(p) for p in corpus.glob("*.csv"))) == 0
+    return {"ticks": root / "pinned" / "ticks.csv", "store": store,
+            "catalog": catalog, "sim_store": root / "sim_store"}
+
+
+DETECT_PATH = {"ajl", "config", "errors", "lee_mykland", "pipeline", "preprocess",
+               "tickstore"}
+COMMAND_MODULES = {
+    # none of ajl, analytics, config, lee_mykland, pipeline, preprocess or
+    # simulate
+    "ingest": {"errors", "tickstore"},
+    "simulate": {"errors", "simulate"},
+    "detect": DETECT_PATH,
+    "analyze": DETECT_PATH | {"analytics"},
+    "report": DETECT_PATH,
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
+def test_each_command_loads_only_the_modules_it_uses(startup_inputs, tmp_path, command):
+    """In a fresh process: ``import hfjumps`` and ``import hfjumps.cli`` load
+    no numpy, a command loads only its own modules, and none loads scipy."""
+    inp = startup_inputs
+    argv = {
+        "ingest": ["ingest", "--store", str(tmp_path / "store"), "--csv", str(inp["ticks"])],
+        "simulate": ["simulate", "--out", str(tmp_path / "corpus"), "--days", "1",
+                     "--ticks-per-day", "500"],
+        # a k_n the null-std table does not cover: the Monte-Carlo fallback runs
+        "detect": ["detect", "--store", str(inp["sim_store"]),
+                   "--out", str(tmp_path / "catalog.jsonl"),
+                   "--ajl-kn", "20", "--sigma-rj-paths", "8"],
+        "analyze": ["analyze", "--store", str(inp["store"]), "--catalog", str(inp["catalog"]),
+                    "--out", str(tmp_path / "tables")],
+        "report": ["report", "--catalog", str(inp["catalog"]), "--out", str(tmp_path / "r")],
+    }[command]
+    seen = fresh_main("import hfjumps\n"
+                      "seen['numpy_after_package'] = 'numpy' in sys.modules\n"
+                      "import hfjumps.cli\n"
+                      "seen['numpy_after_cli'] = 'numpy' in sys.modules",
+                      argv)
+    assert not seen["numpy_after_package"] and not seen["numpy_after_cli"]
+    assert set(seen["hfjumps"]) == {"cli"} | COMMAND_MODULES[command]
+    assert seen["scipy"] == []
+    if command == "detect":
+        recs = [json.loads(l) for l in (tmp_path / "catalog.jsonl").read_text().splitlines()]
+        assert len(recs) == 1 and recs[0]["tested"]
+    if command == "analyze":
+        # every regression column was estimated, so every p-value was computed
+        rows = list(csv.DictReader((tmp_path / "tables" / "regression.csv").open()))
+        assert len(rows) == 4 and all(0.0 < float(r["p"]) < 1.0 for r in rows)
+
+
+@pytest.mark.parametrize("case", ["unset", "explicit", "numpy_first"])
+def test_cli_processes_default_to_one_blas_thread(tmp_path, case):
+    argv = ["simulate", "--out", str(tmp_path / "corpus"), "--days", "1",
+            "--ticks-per-day", "500"]
+    env = fresh_env(OPENBLAS_NUM_THREADS="2") if case == "explicit" else None
+    seen = fresh_main("import numpy" if case == "numpy_first" else "", argv, env)
+    if case == "numpy_first":
+        # numpy has read its settings already: main changes nothing
+        assert seen["environ_unchanged"]
+        assert seen["env"] == dict.fromkeys(BLAS_THREAD_VARS)
+        return
+    expected = dict.fromkeys(BLAS_THREAD_VARS, "1")
+    if case == "explicit":
+        expected["OPENBLAS_NUM_THREADS"] = "2"
+    assert seen["env"] == expected
+    if case == "unset":
+        if seen["threads"] is None:
+            pytest.skip("no /proc/self/task to count the process's threads")
+        assert seen["threads"] == 1
+
+
+def test_catalog_bytes_do_not_depend_on_the_blas_thread_count(startup_inputs, tmp_path):
+    """simulate -> ingest -> detect -> analyze on a 1-s day, and analyze on
+    the pinned inputs, in fresh processes pinned to at most 2 CPUs, with
+    OPENBLAS_NUM_THREADS unset, 1 and 2.  Reductions over the ~86,400 ticks
+    of such a day must not go through threaded BLAS, whose summation order
+    follows the thread count.  analyze's regression still multiplies
+    matrices through BLAS; its tables must not change either."""
     cpus = sorted(os.sched_getaffinity(0))[:2]
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    base = {k: v for k, v in os.environ.items()
-            if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
-    base["PYTHONPATH"] = os.pathsep.join(p for p in (src, base.get("PYTHONPATH")) if p)
 
     def cli(env, *argv):
         proc = subprocess.run([sys.executable, "-m", "hfjumps.cli", *argv],
@@ -401,9 +532,12 @@ def test_catalog_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
                               preexec_fn=lambda: os.sched_setaffinity(0, cpus))
         assert proc.returncode == 0, proc.stderr
 
-    catalogs = {}
+    def tree(path):
+        return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+    artifacts = {}
     for threads in (None, "1", "2"):
-        env = base if threads is None else dict(base, OPENBLAS_NUM_THREADS=threads)
+        env = fresh_env() if threads is None else fresh_env(OPENBLAS_NUM_THREADS=threads)
         root = tmp_path / str(threads)
         cli(env, "simulate", "--out", str(root / "corpus"), "--days", "1",
             "--symbol", "BTC", "--ticks-per-day", "86400", "--seed", "2")
@@ -411,6 +545,11 @@ def test_catalog_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
             "--csv", *sorted(str(p) for p in (root / "corpus").glob("*.csv")))
         cli(env, "detect", "--store", str(root / "store"),
             "--out", str(root / "catalog.jsonl"))
-        catalogs[threads] = (root / "catalog.jsonl").read_bytes()
-    assert json.loads(catalogs[None])["tested"]
-    assert catalogs[None] == catalogs["1"] == catalogs["2"]
+        cli(env, "analyze", "--store", str(root / "store"),
+            "--catalog", str(root / "catalog.jsonl"), "--out", str(root / "tables"))
+        cli(env, "analyze", "--store", str(startup_inputs["store"]),
+            "--catalog", str(startup_inputs["catalog"]), "--out", str(root / "pinned"))
+        assert tree(root / "pinned") == tree(PINNED_TABLES)
+        artifacts[threads] = ((root / "catalog.jsonl").read_bytes(), tree(root / "tables"))
+    assert json.loads(artifacts[None][0])["tested"]
+    assert artifacts[None] == artifacts["1"] == artifacts["2"]
