@@ -5,7 +5,10 @@ from datetime import date, datetime, timezone
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hfjumps import ajl, analytics
 from hfjumps.analytics import (PanelRow, _t_two_sided_p, build_panel, build_tables,
                                count_extremes, fe_regression, render_extremes_table,
                                render_regression_table, render_summary_table,
@@ -41,6 +44,25 @@ def test_summary_constant_sample_undefined_moments():
 def test_summary_needs_two_points():
     with pytest.raises(ValueError):
         summarize_returns([1.0])
+
+
+SAMPLES = st.lists(st.floats() | st.sampled_from([0.0, -0.0, 1.0, 1e308, -np.inf, np.nan]),
+                   min_size=1, max_size=40)
+
+
+def same_bits(a, b):
+    return np.asarray(a, np.float64).tobytes() == np.asarray(b, np.float64).tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(SAMPLES)
+def test_median_and_quartiles_are_numpys_bit_for_bit(values):
+    # they stand in for np.median and np.percentile, which import numpy.ma
+    x = np.array(values)
+    with np.errstate(all="ignore"):
+        assert same_bits(ajl._median(x), np.median(x))
+        if len(x) >= 2:
+            assert same_bits(analytics._quartiles(x), np.percentile(x, [25, 50, 75]))
 
 
 def summary_oracle(x):

@@ -414,6 +414,7 @@ seen["rc"] = main(json.loads(sys.argv[1]))
 seen["environ_unchanged"] = dict(os.environ) == environ
 seen["hfjumps"] = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("hfjumps."))
 seen["scipy"] = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+seen["numpy_ma"] = "numpy.ma" in sys.modules
 seen["env"] = {v: os.environ.get(v) for v in BLAS_THREAD_VARS}
 tasks = "/proc/self/task"
 seen["threads"] = len(os.listdir(tasks)) if os.path.isdir(tasks) else None
@@ -465,7 +466,8 @@ COMMAND_MODULES = {
 @pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
 def test_each_command_loads_only_the_modules_it_uses(startup_inputs, tmp_path, command):
     """In a fresh process: ``import hfjumps`` and ``import hfjumps.cli`` load
-    no numpy, a command loads only its own modules, and none loads scipy."""
+    no numpy, a command loads only its own modules, and none loads scipy or
+    ``numpy.ma`` (which ``np.median`` and ``np.percentile`` import)."""
     inp = startup_inputs
     argv = {
         "ingest": ["ingest", "--store", str(tmp_path / "store"), "--csv", str(inp["ticks"])],
@@ -487,6 +489,7 @@ def test_each_command_loads_only_the_modules_it_uses(startup_inputs, tmp_path, c
     assert not seen["numpy_after_package"] and not seen["numpy_after_cli"]
     assert set(seen["hfjumps"]) == {"cli"} | COMMAND_MODULES[command]
     assert seen["scipy"] == []
+    assert not seen["numpy_ma"]
     if command == "detect":
         recs = [json.loads(l) for l in (tmp_path / "catalog.jsonl").read_text().splitlines()]
         assert len(recs) == 1 and recs[0]["tested"]

@@ -2,8 +2,13 @@
 import csv
 import hashlib
 import json
+import os
+import re
+import subprocess
+import sys
 import tracemalloc
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -428,11 +433,12 @@ CELLS = (st.lists(ISO_CELLS | EPOCH_CELLS | GARBAGE, min_size=1, max_size=12)
 @settings(max_examples=300, deadline=None)
 @given(CELLS)
 def test_bulk_timestamps_match_the_row_path(cells):
+    column = tickstore._Cells.of(cells)
     for fmt, (parse, bulk) in tickstore._FORMATS.items():
         want = [row_ts(parse, cell) for cell in cells]
-        ts, ok = bulk(cells)
+        ts, ok = bulk(column)
         assert all(ts[i] == want[i] for i in np.flatnonzero(ok)), fmt
-        ts, bad = tickstore._parse_times(cells, fmt)
+        ts, bad = tickstore._parse_times(column, fmt)
         assert list(bad) == [w is None for w in want], fmt
         assert [int(t) for t, b in zip(ts, bad) if not b] == [w for w in want if w is not None]
 
@@ -440,10 +446,11 @@ def test_bulk_timestamps_match_the_row_path(cells):
 def test_bulk_parse_takes_the_canonical_shapes():
     iso = ("2021-03-01T00:00:00Z", "2021-03-01 00:00:00.5", "2021-03-01T00:00:00.1234567899z",
            "2021-03-01T01:00:00+01:00")
-    ts, ok = tickstore._iso_bulk(iso)
+    ts, ok = tickstore._iso_bulk(tickstore._Cells.of(iso))
     assert list(ok) == [True, True, True, False]          # an offset takes the row path
     assert list(ts[:3]) == [T0, T0 + 500_000_000, T0 + 123_456_789]
-    ts, ok = tickstore._epoch_bulk((str(T0), str(2 ** 63 - 1), str(2 ** 63), f" {T0}"))
+    ts, ok = tickstore._epoch_bulk(tickstore._Cells.of(
+        (str(T0), str(2 ** 63 - 1), str(2 ** 63), f" {T0}")))
     assert list(ok) == [True, True, False, False]
     assert list(ts[:2]) == [T0, 2 ** 63 - 1]
 
@@ -453,7 +460,7 @@ def test_bulk_iso_takes_the_cells_around_a_refused_date():
              for i in range(0, 5 * 2048, 5)]
     for refused in ("2021-02-30T00:00:00Z", "2021-03-01T24:00:00Z", "2021-03-01T00:00:60Z"):
         chunk = cells[:1000] + [refused] + cells[1001:]
-        ts, ok = tickstore._iso_bulk(chunk)
+        ts, ok = tickstore._iso_bulk(tickstore._Cells.of(chunk))
         assert ok.sum() == 2047 and not ok[1000]
         assert [int(t) for t in ts[ok]] == [parse_iso_ns(c) for c in chunk if c != refused]
 
@@ -465,7 +472,7 @@ def test_bulk_iso_takes_the_cells_around_a_refused_date():
     "2021-03-01T24:00:00Z", "2021-03-01T00:00:60Z", "2021-03-01T00:00", "+2021-03-01T00:00:00"])
 def test_bulk_iso_edges_match_the_row_path(text):
     cells = (text, "2021-03-01T00:00:00Z")       # one group, as in a chunk
-    ts, bad = tickstore._parse_times(cells, "iso8601")
+    ts, bad = tickstore._parse_times(tickstore._Cells.of(cells), "iso8601")
     assert [None if b else int(t) for t, b in zip(ts, bad)] == \
         [row_ts(parse_iso_ns, cell) for cell in cells]
 
@@ -474,8 +481,11 @@ def oracle_ingest(path, schema=CsvSchema()):
     """Row-by-row reference: csv.DictReader and the reject rules in order."""
     parsers = {"epoch_ns": parse_epoch_ns, "iso8601": parse_iso_ns}
     fmt, log, buckets = "", [], {}
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
+        for col in (schema.time, schema.exchange, schema.symbol, schema.price):
+            if col not in (reader.fieldnames or []):
+                raise ValueError(f"column {col!r} not found in {path}")
         for row in reader:
             raw = row[schema.time] or ""
             if not fmt:      # the first row either parser reads sets the format
@@ -517,7 +527,20 @@ def oracle_ingest(path, schema=CsvSchema()):
 
 
 def assert_ingest_matches_oracle(path, store_dir, schema=CsvSchema()):
-    fmt, log, by_reason, want = oracle_ingest(path, schema)
+    try:
+        want = oracle_ingest(path, schema)
+    except (ValueError, csv.Error) as exc:       # the ingest fails as the oracle does
+        # a decoding error's position counts from where the decoder began
+        match = None if isinstance(exc, UnicodeDecodeError) else re.escape(str(exc))
+        with pytest.raises(type(exc), match=match):
+            TickStore(store_dir).ingest_csv(path, schema)
+        return
+    assert_ingest_matches(path, store_dir, want, schema)
+
+
+def assert_ingest_matches(path, store_dir, want, schema=CsvSchema()):
+    """Ingest ``path`` and compare the report and the stored days with ``oracle_ingest``'s."""
+    fmt, log, by_reason, want = want
     rep = TickStore(store_dir).ingest_csv(path, schema)
     assert rep.timestamp_format == fmt
     assert rep.reject_log == log
@@ -618,26 +641,159 @@ CSV_CELLS = {
 }
 
 
+# what takes a line off the byte path, by kind: cells as written.  Quoted
+# cells hold commas, newlines and quotes; UTF-8 beyond ASCII holds digits
+# ``float`` reads and blanks str.strip takes; "\udcff" is written as the
+# byte 0xff, which is no UTF-8; a lone CR ends a record inside a line
+ODD_CELLS = {
+    "quoted": {"time": [f'"{T0}"', f'"{ISO0}\n"'], "exchange": ['"A,B"', '"A\nB"', '"A""B"'],
+               "symbol": ['"BTC"', '"B,TC"', '"BTC\r\n"'], "price": ['"7"', '"1,5"', '"100\n.5"']},
+    "nul": {"time": [f"{T0}\x00"], "exchange": ["A\x00", "\x00"], "price": ["1\x00", "7\x00"]},
+    "utf8": {"time": [str(T0).translate(ARABIC_INDIC), ISO0 + "\u00a0"],
+             "exchange": ["Börse", "\u3000A"], "symbol": ["ÉTH", " BTC\u3000"],
+             "price": ["١٠٠", "\u00a07", "7".translate(ARABIC_INDIC) + ".5"]},
+    "bad_utf8": {"exchange": ["A\udcff"], "price": ["1\udcff"]},
+    "cr": {"exchange": ["A\rB"], "price": ["7\r"]},
+    "ragged": {},
+}
+PLAIN_ENDS = ["\n", "\r\n"]
+
+
 @st.composite
-def csv_lines(draw):
+def csv_files(draw):
+    """A tick file's bytes: plain rows, then from a drawn row on rows that
+    may also be of one ``ODD_CELLS`` kind.
+
+    Any row may be blank.  A BOM may lead the header, and the last newline
+    may be missing."""
     header = draw(st.permutations(list(CSV_CELLS)))
-    lines = [",".join(header)]
-    for _ in range(draw(st.integers(0, 25))):
-        row = [draw(CSV_CELLS[col]) for col in header]
-        cut = draw(st.sampled_from([len(row)] * 6 + [0, 1, 2, 3, 5]))
-        lines.append(",".join((row + ["extra"])[:cut]))
-    return lines
+    kind = draw(st.sampled_from(list(ODD_CELLS)))
+    bom = draw(st.sampled_from([""] * 9 + ["\ufeff"]))
+    lines = [bom + ",".join(header) + draw(st.sampled_from(PLAIN_ENDS))]
+    n = draw(st.integers(0, 25))
+    odd_from = draw(st.integers(0, n + 1))
+    for i in range(n):
+        odd = i >= odd_from
+        end = draw(st.sampled_from(PLAIN_ENDS + ["\r"] * (odd and kind == "cr")))
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(end)                                  # a blank line
+            continue
+        cells = {col: CSV_CELLS[col] | st.sampled_from(ODD_CELLS[kind][col])
+                 if odd and col in ODD_CELLS[kind] else CSV_CELLS[col] for col in header}
+        row = [draw(cells[col]) for col in header]
+        cut = draw(st.sampled_from([len(row)] * 6 + [0, 1, 2, 3, 5] * (odd and kind == "ragged")))
+        lines.append(",".join((row + ["extra"])[:cut]) + end)
+    text = "".join(lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")                           # no final newline
+    return text.encode("utf-8", "surrogateescape")
 
 
-@settings(max_examples=60, deadline=None)
-@given(csv_lines(), st.integers(1, 6))
-def test_any_file_matches_the_oracle(tmp_path_factory, lines, chunk_rows):
+@settings(max_examples=150, deadline=None)
+@given(csv_files(), st.integers(1, 6))
+def test_any_file_matches_the_oracle(tmp_path_factory, data, chunk_rows):
     tmp = tmp_path_factory.mktemp("csv")
     path = tmp / "in.csv"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_bytes(data)
     old = tickstore.CHUNK_ROWS
     tickstore.CHUNK_ROWS = chunk_rows
     try:
         assert_ingest_matches_oracle(path, tmp / "store")
     finally:
         tickstore.CHUNK_ROWS = old
+
+
+def test_an_irregular_line_after_plain_chunks_matches_the_oracle(tmp_path, monkeypatch):
+    # the byte path takes the first chunks; csv.reader reads on from the
+    # chunk holding the quoted cell, whose newline does not end the record
+    monkeypatch.setattr(tickstore, "CHUNK_ROWS", 4)
+    lines = [f"{T0 + i},A,BTC,{100 + i}.5" for i in range(13)]
+    lines[10] = f'{T0 + 10},"A\nB",BTC,"1.5"'
+    lines[11] = f"{T0 + 11},A,BTC,abc"
+    lines[12] = f"{T0 + 12},A,BTC,7\x00"            # the S dtype would drop the NUL
+    path = tmp_path / "in.csv"
+    path.write_text("time,exchange,symbol,price\n" + "\n".join(lines) + "\n")
+    assert_ingest_matches_oracle(path, tmp_path / "store")
+    rep = TickStore(tmp_path / "again").ingest_csv(path)
+    assert rep.reject_log == [(14, "bad price"), (15, "bad price")]
+    assert TickStore(tmp_path / "again").slice("BTC", date(2021, 3, 1)).exchanges[10] == "A\nB"
+
+
+def dirty_file(path, n_ticks=2000, seed=5):
+    """A dirty-style file: LF, ISO stamps, three exchanges, a malformed row of each kind."""
+    [rec] = make_corpus(path.parent, "BTC", date(2021, 1, 4), 1, SimConfig(n=n_ticks, seed=seed),
+                        exchanges=("A", "B", "C"), exchange_noise_q=0.0005)
+    rows = [line.split(",") for line in (path.parent / rec["csv"]).read_text().splitlines()]
+    for r in rows[1:]:
+        r[0] = np.datetime_as_string(np.int64(r[0]).astype("datetime64[ns]"), unit="ms") + "Z"
+    for i, change in zip(range(100, len(rows), 997), (
+            {3: "nan"}, {3: "abc"}, {0: "not-a-time"}, {3: "-1.0"}, {1: ""})):
+        bad = list(rows[i])
+        for col, cell in change.items():
+            bad[col] = cell
+        rows.insert(i, bad)
+    path.write_text("\n".join(",".join(r) for r in rows) + "\n")
+
+
+def test_plain_files_never_reach_csv_reader(tmp_path, monkeypatch):
+    # nor, past format detection and malformed stamps, the row parsers
+    [rec] = make_corpus(tmp_path / "sim", "ETH", date(2021, 1, 4), 1, SimConfig(n=5000, seed=2))
+    simulated = tmp_path / "sim" / rec["csv"]
+    assert b"\r\n" in simulated.read_bytes()
+    time_last = tmp_path / "sim" / "time_last.csv"       # each stamp ends at a CRLF
+    time_last.write_bytes(b"".join(b",".join(cells[1:] + cells[:1]) + b"\r\n" for cells in (
+        line.split(b",") for line in simulated.read_bytes().splitlines())))
+    dirty = tmp_path / "dirty" / "dirty.csv"
+    dirty.parent.mkdir()
+    dirty_file(dirty)
+    files = {simulated: 1, time_last: 1, dirty: 3}          # row-parsed stamps in each
+    want = {path: oracle_ingest(path) for path in files}
+    fmt, log, _, arrays = want[dirty]
+    assert fmt == "iso8601" and len(log) == 5
+    assert {e for _, exch, _ in arrays.values() for e in exch} == {"A", "B", "C"}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("csv.reader read a plain file")
+
+    calls = []
+
+    def counted(parse):
+        def row_parse(text):
+            calls.append(text)
+            return parse(text)
+        return row_parse
+
+    monkeypatch.setattr(csv, "reader", refuse)
+    monkeypatch.setattr(tickstore, "_FORMATS", {
+        fmt: (counted(parse), bulk) for fmt, (parse, bulk) in tickstore._FORMATS.items()})
+    for path, row_parsed in files.items():
+        calls.clear()
+        assert_ingest_matches(path, tmp_path / "store", want[path])
+        assert len(calls) == row_parsed, calls
+
+
+def test_ingest_decodes_utf8_whatever_the_locale(tmp_path):
+    path = tmp_path / "in.csv"
+    path.write_bytes(f"time,exchange,symbol,price\n{T0},Börse,BTC,100.0\n"
+                     f"{T0 + 1},A,BTC,١٠١\n".encode("utf-8"))
+    code = ("import locale, sys\n"
+            "from hfjumps.tickstore import TickStore\n"
+            "TickStore(sys.argv[1]).ingest_csv(sys.argv[2])\n"
+            "print(locale.getpreferredencoding(False))")
+    src = str(Path(tickstore.__file__).parents[1])
+    path_var = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    modes = {"utf8": {"PYTHONUTF8": "1"},
+             "c": {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}}
+    stores, encodings = [], []
+    for name, env in modes.items():
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / name), str(path)],
+                              env={**os.environ, "PYTHONPATH": path_var, **env},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        encodings.append(proc.stdout.split()[-1].lower().replace("-", ""))
+        root = tmp_path / name
+        stores.append({p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()})
+    assert encodings[0] == "utf8" and encodings[1] != "utf8"    # the locale's own is ASCII
+    assert stores[0] == stores[1] and len(stores[0]) == 2       # one day file, one record
+    day = TickStore(tmp_path / "c").slice("BTC", date(2021, 3, 1))
+    assert day.exchanges == ["Börse", "A"] and list(day.prices) == [100.0, 101.0]
