@@ -22,18 +22,22 @@ converges to 1 when jumps are present and to ``gamma'' = gamma^{p/2} /
 gamma' > 1 on continuous paths, so the test rejects the no-jump null
 when ``S_RJ < gamma'' - z_alpha * Delta_n^{1/4} * sqrt(Sigma_RJ)``.
 
+The pair is fixed: ``g(s) = s(1-s)`` (parabola) over ``h(s) = min(s, 1-s)``
+(triangle), the only ordering of the two whose gamma'' exceeds 1.  The
+constants are ratios of the weights' moments ``int_0^1 g^r ds``, which
+have closed forms, so each is exact up to its one rounding to float.
+
 A closed-form plug-in for Sigma_RJ needs weight-pair moment functionals
 that lack a tractable expression, so ``sqrt(Sigma_RJ)`` is estimated
 under the null instead: the sample standard deviation of S_RJ over
 simulated continuous noisy paths at the day's length and estimated
 noise-to-volatility ratio (divided by Delta_n^{1/4} to match the
 critical-value scaling).  S_RJ is scale invariant, so that law depends
-on (sigma, q) only through q/sigma.  For the default k_n, p and weights
-on the four grid lengths of a day, the std comes from the committed
-table ``data/ajl_null_std.csv`` (written by
-``scripts/make_ajl_null_table.py``), interpolated in q/sigma up to its
-last node, q/sigma = 1.  Any other day falls back to a seeded,
-memoized Monte Carlo of ``sigma_rj_paths`` paths.
+on (sigma, q) only through q/sigma.  For the default k_n and p on the
+four grid lengths of a day, the std comes from the committed table
+``data/ajl_null_std.csv`` (written by ``scripts/make_ajl_null_table.py``),
+interpolated in q/sigma up to its last node, q/sigma = 1.  Any other day
+falls back to a seeded, memoized Monte Carlo of ``sigma_rj_paths`` paths.
 
 Both window sums are correlations of the returns (and of their squares)
 with a fixed weight, computed with numpy's real FFT.  A chunk of paths
@@ -51,14 +55,14 @@ import hashlib
 import logging
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache, reduce
 from importlib import resources
-from math import comb, exp, log, sqrt
+from math import comb, exp, factorial, log, sqrt
 from statistics import NormalDist
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import ConfigError, DayRejected
 
@@ -69,45 +73,20 @@ logger = logging.getLogger(__name__)
 # weight functions and their moments
 # ---------------------------------------------------------------------------
 
-_GAUSS_NODES = 16     # per piece: exact for polynomial pieces of degree < 32
-
-
-@dataclass
+@dataclass(frozen=True)
 class WeightFunction:
-    """Pre-averaging weight on [0,1]; moments are cached quadrature values."""
+    """Pre-averaging weight on [0,1] with its moments in closed form."""
 
     name: str
     func: Callable[[np.ndarray], np.ndarray]   # vectorized on s in [0,1]
-    quad_points: tuple = ()            # interior kinks for the integrator
-    _moments: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def __post_init__(self):
-        f = self.func
-        if abs(float(f(np.array([0.0]))[0])) > 1e-12 or \
-           abs(float(f(np.array([1.0]))[0])) > 1e-12:
-            raise ConfigError(f"weight {self.name!r} must vanish at 0 and 1")
-        if self.moment(2) <= 0:
-            raise ConfigError(f"weight {self.name!r} has zero L2 mass")
+    exact_moment: Callable[[int], Fraction]    # r -> int_0^1 g(s)^r ds
 
     def __call__(self, s: np.ndarray) -> np.ndarray:
         return self.func(np.asarray(s, dtype=float))
 
     def moment(self, r: int) -> float:
-        """``int_0^1 |g(s)|^r ds`` by Gauss-Legendre on each smooth piece.
-
-        The pieces are split at ``quad_points``; the rule is exact where
-        ``|g|^r`` is a polynomial of degree < 2 * _GAUSS_NODES on each piece,
-        as for the built-in weights up to r = 15.
-        """
-        if r not in self._moments:
-            x, wts = leggauss(_GAUSS_NODES)
-            edges = (0.0, *self.quad_points, 1.0)
-            total = 0.0
-            for a, b in zip(edges, edges[1:]):
-                s = 0.5 * (b - a) * x + 0.5 * (a + b)
-                total += 0.5 * (b - a) * float(np.dot(wts, np.abs(self.func(s)) ** r))
-            self._moments[r] = total
-        return self._moments[r]
+        """``int_0^1 g(s)^r ds``, correctly rounded."""
+        return float(self.exact_moment(r))
 
     def grid_weights(self, k_n: int) -> tuple[np.ndarray, np.ndarray]:
         """(g_j for j=1..k_n-1, g'_j for j=1..k_n) on the window grid."""
@@ -115,19 +94,16 @@ class WeightFunction:
         return full[1:k_n], np.diff(full)
 
 
-PARABOLA = WeightFunction("parabola", lambda s: s * (1.0 - s))
+# int (s(1-s))^r ds = B(r+1, r+1) = r!^2 / (2r+1)!;  int min(s, 1-s)^r ds = 1 / (2^r (r+1))
+PARABOLA = WeightFunction("parabola", lambda s: s * (1.0 - s),
+                          lambda r: Fraction(factorial(r) ** 2, factorial(2 * r + 1)))
 TRIANGLE = WeightFunction("triangle", lambda s: np.minimum(s, 1.0 - s),
-                          quad_points=(0.5,))
-
-_REGISTRY = {w.name: w for w in (PARABOLA, TRIANGLE)}
+                          lambda r: Fraction(1, 2 ** r * (r + 1)))
 
 
 def get_weight(name: str) -> WeightFunction:
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ConfigError(f"unknown weight function {name!r}; "
-                          f"known: {sorted(_REGISTRY)}") from None
+    """The built-in weight of that name, as the table and seed keys name it."""
+    return {w.name: w for w in (PARABOLA, TRIANGLE)}[name]
 
 
 # ---------------------------------------------------------------------------
@@ -268,15 +244,16 @@ def vbar_reference(returns: np.ndarray, w: WeightFunction, p: int = 4,
 
 
 def ajl_constants(g: WeightFunction, h: WeightFunction, p: int = 4) -> tuple[float, float, float]:
-    """(gamma, gamma', gamma'') for a weight pair; gamma'' must exceed 1."""
-    gamma = g.moment(2) / h.moment(2)
-    gamma_prime = g.moment(p) / h.moment(p)
+    """(gamma, gamma', gamma'') for a weight pair, each exact up to its one
+    rounding to float; gamma'' must exceed 1."""
+    gamma = g.exact_moment(2) / h.exact_moment(2)
+    gamma_prime = g.exact_moment(p) / h.exact_moment(p)
     gamma_dprime = gamma ** (p // 2) / gamma_prime
-    if gamma_dprime <= 1.0:
+    if gamma_dprime <= 1:
         raise ConfigError(
-            f"weight pair ({g.name}, {h.name}) gives gamma''={gamma_dprime:.4f} <= 1; "
+            f"weight pair ({g.name}, {h.name}) gives gamma''={float(gamma_dprime):.4f} <= 1; "
             "the rejection region is undefined for this pair")
-    return gamma, gamma_prime, gamma_dprime
+    return float(gamma), float(gamma_prime), float(gamma_dprime)
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +264,8 @@ def ajl_constants(g: WeightFunction, h: WeightFunction, p: int = 4) -> tuple[flo
 class AjlParams:
     p: int = 4
     k_n: int = 100
-    g: WeightFunction = field(default_factory=lambda: PARABOLA)
-    h: WeightFunction = field(default_factory=lambda: TRIANGLE)
+    g: WeightFunction = PARABOLA
+    h: WeightFunction = TRIANGLE
     alpha: float = 0.999
     sigma_rj_paths: int = 200
     base_seed: int = 0

@@ -99,7 +99,6 @@ def build_parser() -> _Parser:
                       ("--lm-C", float), ("--ajl-p", int), ("--ajl-kn", int),
                       ("--sigma-rj-paths", int), ("--seed", int)):
         pd.add_argument(flag, type=typ, default=None)
-    pd.add_argument("--ajl-weights", default=None)
     pd.add_argument("--bonferroni", choices=("within-day", "corpus", "off"),
                     default=None)
 

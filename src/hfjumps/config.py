@@ -26,7 +26,6 @@ class RunConfig:
     lm_C: float = 0.05
     ajl_p: int = 4
     ajl_kn: int = 100
-    ajl_weights: str = "parabola/triangle"
     bonferroni: str = "within-day"      # "within-day" | "corpus" | "off"
     # sigma_rj_paths and seed configure only the AJL Monte-Carlo fallback,
     # used where the committed null-std table does not cover a day
@@ -52,8 +51,6 @@ class RunConfig:
             raise ConfigError("dedup_window must be >= 0")
         if self.bonferroni not in ("within-day", "corpus", "off"):
             raise ConfigError("bonferroni must be within-day, corpus, or off")
-        if "/" not in self.ajl_weights:
-            raise ConfigError("ajl_weights must be '<numerator>/<denominator>'")
         self.ajl_params()       # AjlParams checks the AJL settings, once per run
 
     # -- construction ---------------------------------------------------
@@ -94,12 +91,10 @@ class RunConfig:
         return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
     def weight_names(self) -> tuple[str, str]:
-        g, h = self.ajl_weights.split("/", 1)
-        return g.strip(), h.strip()
+        """The AJL weight pair (numerator, denominator); it is fixed."""
+        return ajl.PARABOLA.name, ajl.TRIANGLE.name
 
     def ajl_params(self) -> ajl.AjlParams:
-        g_name, h_name = self.weight_names()
         return ajl.AjlParams(p=self.ajl_p, k_n=self.ajl_kn,
-                             g=ajl.get_weight(g_name), h=ajl.get_weight(h_name),
                              alpha=self.alpha, sigma_rj_paths=self.sigma_rj_paths,
                              base_seed=self.seed)

@@ -132,7 +132,7 @@ def detect_day(series: AggregatedSeries, cfg: RunConfig,
     }
     verdict.ajl = {
         "p": ajl_params.p, "k_n": ajl_params.k_n,
-        "weights": cfg.ajl_weights,
+        "weights": f"{ajl_params.g.name}/{ajl_params.h.name}",
         "s_rj": day_ajl.s_rj, "gamma_dprime": day_ajl.gamma_dprime,
         "sigma_rj": day_ajl.sigma_rj, "critical_value": day_ajl.critical_value,
         "reject_null": day_ajl.reject_null, "mc_seed": day_ajl.mc_seed,

@@ -8,14 +8,14 @@ epoch nanoseconds; input may be ISO-8601 UTC or epoch nanoseconds
 (auto-detected per file from its first parseable timestamp, the
 detection is logged).
 
-A file is read as UTF-8, whatever the locale, ``CHUNK_ROWS`` lines at a
-time.  A chunk of plain lines is split into cells by numpy on its bytes:
-plain means no quote, NUL, byte >= 0x80 or CR outside a CRLF, no line
-longer than ``csv.field_size_limit()``, and on every non-blank line one
-comma fewer than the header has names.  From the first chunk that is not
-plain (the header included) to the end of the file, ``csv.reader`` reads
-the text, since a quoted cell can span lines; line numbers carry on.
-Blank lines are skipped either way.
+A file is read as UTF-8 whatever the locale, a leading byte order mark
+dropped, ``CHUNK_ROWS`` lines at a time.  A chunk of plain lines is split
+into cells by numpy on its bytes: plain means no quote, NUL, byte >= 0x80
+or CR outside a CRLF, no line longer than ``csv.field_size_limit()``, and
+on every non-blank line one comma fewer than the header has names.  From
+the first chunk that is not plain (the header included) to the end of the
+file, ``csv.reader`` reads the text, since a quoted cell can span lines;
+line numbers carry on.  Blank lines are skipped either way.
 
 Both front ends hand each chunk's columns to one parse as fixed-width
 bytes plus cell lengths (``_Cells``).  Epoch stamps that are 10-19 ASCII
@@ -32,6 +32,7 @@ arrays outlive a chunk.
 """
 from __future__ import annotations
 
+import codecs
 import csv
 import hashlib
 import io
@@ -335,8 +336,8 @@ def _pair_reason(symbol: str, exchange: str) -> int:
     """The reject code of a stripped (symbol, exchange) pair, 0 if it is fine."""
     if not symbol or not exchange:
         return _REASONS.index("missing field")
-    if symbol in (".", "..") or "/" in symbol or "\\" in symbol:
-        return _REASONS.index("bad symbol")      # the symbol names a directory of the store
+    if symbol in (".", "..") or "/" in symbol or "\\" in symbol or "\0" in symbol:
+        return _REASONS.index("bad symbol")      # the symbol must name one directory of the store
     return 0
 
 
@@ -453,8 +454,9 @@ def _chunks(fh, fields: tuple[str, ...], path: Path):
     size = CHUNK_ROWS
     head = fh.readline()
     line, offset = 0, 0                    # the lines and bytes taken on the byte path
-    if _plain_lines(head) is not None:
-        text = head.removesuffix(b"\n").removesuffix(b"\r").decode()
+    names = head.removeprefix(codecs.BOM_UTF8)       # as spreadsheet exports write
+    if _plain_lines(names) is not None:
+        text = names.removesuffix(b"\n").removesuffix(b"\r").decode()
         header = text.split(",") if text else []
         columns = _field_columns(header, fields, path)
         line, offset = 1, len(head)
@@ -471,7 +473,8 @@ def _chunks(fh, fields: tuple[str, ...], path: Path):
         else:
             return
     fh.seek(offset)
-    reader = csv.reader(io.TextIOWrapper(fh, encoding="utf-8", newline=""))
+    encoding = "utf-8" if offset else "utf-8-sig"     # a BOM only leads the file
+    reader = csv.reader(io.TextIOWrapper(fh, encoding=encoding, newline=""))
     if not line:
         header = next(reader, None) or []
         columns = _field_columns(header, fields, path)

@@ -1,6 +1,7 @@
 """Day-level ratio test: rho system, weights, power variation, decision."""
 import subprocess
 import sys
+from fractions import Fraction
 from math import comb, sqrt
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from hfjumps import ajl as ajl_module
-from hfjumps.ajl import (PARABOLA, TRIANGLE, AjlParams, WeightFunction,
+from hfjumps.ajl import (PARABOLA, TRIANGLE, AjlParams,
                          _fast_len, _power_variations, absolute_normal_moment,
                          ajl_constants, ajl_test, rho_residuals, s_j_ratio,
                          solve_rho, vbar, vbar_reference)
@@ -99,9 +100,21 @@ def test_ajl_constants_swapped_pair_rejected():
         ajl_constants(TRIANGLE, PARABOLA, 4)
 
 
-def test_weight_must_vanish_at_edges():
-    with pytest.raises(ConfigError):
-        WeightFunction("bad", lambda s: s)
+def exact_moments(r):
+    """(parabola, triangle) ``int_0^1 g^r ds`` as fractions, by expanding the polynomials."""
+    # (s - s^2)^r = sum_k C(r, k) (-1)^k s^(r+k);  min(s, 1-s) is symmetric about 1/2
+    parabola = sum(Fraction((-1) ** k * comb(r, k), r + k + 1) for k in range(r + 1))
+    triangle = 2 * Fraction(1, 2) ** (r + 1) / (r + 1)
+    return parabola, triangle
+
+
+@pytest.mark.parametrize("p", range(4, 21, 2))
+def test_ajl_constants_match_exact_fractions(p):
+    (g2, h2), (gp, hp) = exact_moments(2), exact_moments(p)
+    gamma, gamma_p = g2 / h2, gp / hp
+    want = (gamma, gamma_p, gamma ** (p // 2) / gamma_p)
+    for got, exact in zip(ajl_constants(PARABOLA, TRIANGLE, p), want):
+        assert abs(got - exact) <= Fraction(1, 10 ** 15) * exact
 
 
 # ---------------------------------------------------------------------------

@@ -64,8 +64,7 @@ def test_only_detect_takes_a_config(tmp_path, command):
 def test_every_detect_flag_sets_its_config_field():
     non_default = {"--alpha": 0.99, "--coverage": 0.9, "--sd-cutoff": 8.0,
                    "--dedup-window": 5, "--lm-C": 0.1, "--ajl-p": 6, "--ajl-kn": 50,
-                   "--ajl-weights": "parabola / triangle", "--bonferroni": "corpus",
-                   "--sigma-rj-paths": 100, "--seed": 5}
+                   "--bonferroni": "corpus", "--sigma-rj-paths": 100, "--seed": 5}
     parser = build_parser()
     detect = next(a for a in parser._actions
                   if isinstance(a, argparse._SubParsersAction)).choices["detect"]
@@ -114,8 +113,7 @@ def test_config_file_accepts_an_int_for_a_float_field(tmp_path):
 
 
 @pytest.mark.parametrize("flags", [("--ajl-p", "5"), ("--ajl-kn", "1"),
-                                   ("--sigma-rj-paths", "4"),
-                                   ("--ajl-weights", "triangle/parabola")])
+                                   ("--sigma-rj-paths", "4")])
 def test_invalid_ajl_settings_exit_3_before_any_day(tmp_path, capsys, flags):
     store = small_store(tmp_path)
     capsys.readouterr()
@@ -136,6 +134,15 @@ def test_ingest_missing_column_exit_1(tmp_path, capsys):
     assert run("ingest", "--store", str(tmp_path / "s"), "--csv", str(path)) == 1
     err = capsys.readouterr().err
     assert err == f"error: column 'symbol' not found in {path}\n"
+
+
+def test_ingest_rejects_a_nul_in_a_symbol_and_keeps_the_file(tmp_path, capsys):
+    path = tmp_path / "ticks.csv"
+    path.write_bytes(b"time,exchange,symbol,price\n"
+                     b"1614556800000000000,A,BTC,100.0\n1614556801000000000,A,BT\0C,101.0\n")
+    assert run("ingest", "--store", str(tmp_path / "s"), "--csv", str(path)) == 0
+    assert capsys.readouterr().out.endswith("total: accepted=1 rejected=1\n")
+    assert [p.name for p in (tmp_path / "s" / "ticks").iterdir()] == ["BTC"]
 
 
 def test_detect_on_old_csv_store_exit_2(tmp_path, capsys):
@@ -415,6 +422,7 @@ seen["environ_unchanged"] = dict(os.environ) == environ
 seen["hfjumps"] = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("hfjumps."))
 seen["scipy"] = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 seen["numpy_ma"] = "numpy.ma" in sys.modules
+seen["numpy_polynomial"] = "numpy.polynomial" in sys.modules
 seen["env"] = {v: os.environ.get(v) for v in BLAS_THREAD_VARS}
 tasks = "/proc/self/task"
 seen["threads"] = len(os.listdir(tasks)) if os.path.isdir(tasks) else None
@@ -467,7 +475,8 @@ COMMAND_MODULES = {
 def test_each_command_loads_only_the_modules_it_uses(startup_inputs, tmp_path, command):
     """In a fresh process: ``import hfjumps`` and ``import hfjumps.cli`` load
     no numpy, a command loads only its own modules, and none loads scipy or
-    ``numpy.ma`` (which ``np.median`` and ``np.percentile`` import)."""
+    ``numpy.ma`` (which ``np.median`` and ``np.percentile`` import) or
+    ``numpy.polynomial``."""
     inp = startup_inputs
     argv = {
         "ingest": ["ingest", "--store", str(tmp_path / "store"), "--csv", str(inp["ticks"])],
@@ -490,6 +499,7 @@ def test_each_command_loads_only_the_modules_it_uses(startup_inputs, tmp_path, c
     assert set(seen["hfjumps"]) == {"cli"} | COMMAND_MODULES[command]
     assert seen["scipy"] == []
     assert not seen["numpy_ma"]
+    assert not seen["numpy_polynomial"]
     if command == "detect":
         recs = [json.loads(l) for l in (tmp_path / "catalog.jsonl").read_text().splitlines()]
         assert len(recs) == 1 and recs[0]["tested"]

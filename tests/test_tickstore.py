@@ -481,7 +481,7 @@ def oracle_ingest(path, schema=CsvSchema()):
     """Row-by-row reference: csv.DictReader and the reject rules in order."""
     parsers = {"epoch_ns": parse_epoch_ns, "iso8601": parse_iso_ns}
     fmt, log, buckets = "", [], {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         for col in (schema.time, schema.exchange, schema.symbol, schema.price):
             if col not in (reader.fieldnames or []):
@@ -511,7 +511,7 @@ def oracle_ingest(path, schema=CsvSchema()):
                 reason = "non-positive price"
             elif not sym or not exch:
                 reason = "missing field"
-            elif sym in (".", "..") or "/" in sym or "\\" in sym:
+            elif sym in (".", "..") or "/" in sym or "\\" in sym or "\0" in sym:
                 reason = "bad symbol"
             else:
                 buckets.setdefault((sym, utc_date(ts)), []).append((ts, exch, price))
@@ -648,7 +648,8 @@ CSV_CELLS = {
 ODD_CELLS = {
     "quoted": {"time": [f'"{T0}"', f'"{ISO0}\n"'], "exchange": ['"A,B"', '"A\nB"', '"A""B"'],
                "symbol": ['"BTC"', '"B,TC"', '"BTC\r\n"'], "price": ['"7"', '"1,5"', '"100\n.5"']},
-    "nul": {"time": [f"{T0}\x00"], "exchange": ["A\x00", "\x00"], "price": ["1\x00", "7\x00"]},
+    "nul": {"time": [f"{T0}\x00"], "exchange": ["A\x00", "\x00"], "symbol": ["BT\x00C"],
+            "price": ["1\x00", "7\x00"]},
     "utf8": {"time": [str(T0).translate(ARABIC_INDIC), ISO0 + "\u00a0"],
              "exchange": ["Börse", "\u3000A"], "symbol": ["ÉTH", " BTC\u3000"],
              "price": ["١٠٠", "\u00a07", "7".translate(ARABIC_INDIC) + ".5"]},
@@ -735,6 +736,10 @@ def dirty_file(path, n_ticks=2000, seed=5):
     path.write_text("\n".join(",".join(r) for r in rows) + "\n")
 
 
+def refuse_csv_reader(*args, **kwargs):
+    raise AssertionError("csv.reader read a plain file")
+
+
 def test_plain_files_never_reach_csv_reader(tmp_path, monkeypatch):
     # nor, past format detection and malformed stamps, the row parsers
     [rec] = make_corpus(tmp_path / "sim", "ETH", date(2021, 1, 4), 1, SimConfig(n=5000, seed=2))
@@ -752,9 +757,6 @@ def test_plain_files_never_reach_csv_reader(tmp_path, monkeypatch):
     assert fmt == "iso8601" and len(log) == 5
     assert {e for _, exch, _ in arrays.values() for e in exch} == {"A", "B", "C"}
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("csv.reader read a plain file")
-
     calls = []
 
     def counted(parse):
@@ -763,13 +765,42 @@ def test_plain_files_never_reach_csv_reader(tmp_path, monkeypatch):
             return parse(text)
         return row_parse
 
-    monkeypatch.setattr(csv, "reader", refuse)
+    monkeypatch.setattr(csv, "reader", refuse_csv_reader)
     monkeypatch.setattr(tickstore, "_FORMATS", {
         fmt: (counted(parse), bulk) for fmt, (parse, bulk) in tickstore._FORMATS.items()})
     for path, row_parsed in files.items():
         calls.clear()
         assert_ingest_matches(path, tmp_path / "store", want[path])
         assert len(calls) == row_parsed, calls
+
+
+BOM = "\ufeff"
+
+
+@pytest.mark.parametrize("text, reader_encoding, log", [
+    # plain lines after the BOM: the byte path reads the whole file
+    (f"{BOM}time,exchange,symbol,price\n{T0},A,BTC,100.0\n{T0 + 1},B,BTC,101.0\n", None, []),
+    # a quoted header name: csv.reader reads from the start and drops the BOM
+    (f'{BOM}"time",exchange,symbol,price\n{T0},A,BTC,100.0\n', "utf-8-sig", []),
+    # csv.reader reads on from line 2, where a BOM is part of a cell
+    (f"{BOM}time,exchange,symbol,price\n{T0},A,BTC,100.0\n{BOM}{T0 + 1},B,BTC,101.0\n",
+     "utf-8", [(3, "bad timestamp")])], ids=["plain", "quoted_header", "odd_line"])
+def test_a_leading_bom_is_dropped_on_either_path(tmp_path, monkeypatch, text, reader_encoding,
+                                                 log):
+    path = tmp_path / "in.csv"
+    path.write_bytes(text.encode())
+    want = oracle_ingest(path)
+    assert want[1] == log
+    opened, reader = [], csv.reader
+
+    def recorded(stream, *args, **kwargs):
+        opened.append(stream.encoding)
+        return reader(stream, *args, **kwargs)
+
+    monkeypatch.setattr(csv, "reader", recorded if reader_encoding else refuse_csv_reader)
+    assert_ingest_matches(path, tmp_path / "store", want)
+    assert opened == ([reader_encoding] if reader_encoding else [])
+    assert TickStore(tmp_path / "store").slice("BTC", date(2021, 3, 1)).prices[0] == 100.0
 
 
 def test_ingest_decodes_utf8_whatever_the_locale(tmp_path):
