@@ -238,14 +238,11 @@ def lm_scan(log_prices: np.ndarray, params: LmParams,
         level = params.alpha
     threshold = gumbel_quantile(level)
 
-    moments = []
-    for j in range(len(pbar)):
-        start = None
-        if timestamps_ns is not None:
-            start = int(timestamps_ns[min(j * k * M, n - 1)])
-        moments.append(LmMomentResult(
-            block_index=j, block_start_ns=start, pbar=float(pbar[j]),
-            chi=float(chi[j]), xi=float(xi[j]), is_jump=bool(xi[j] > threshold)))
+    step = k * M                # block j starts at tick j * step
+    starts = ([None] * len(pbar) if timestamps_ns is None
+              else np.asarray(timestamps_ns)[:len(pbar) * step:step].tolist())
+    moments = [LmMomentResult(j, *row) for j, row in enumerate(zip(
+        starts, pbar.tolist(), chi.tolist(), xi.tolist(), (xi > threshold).tolist()))]
     return LmDayResult(params=params, noise=noise, n_blocks=L,
                        a_n=a_n, b_n=b_n, threshold=threshold, moments=moments)
 

@@ -2,9 +2,10 @@
 
 The chain is: average simultaneous cross-exchange observations into one
 log-price path, strip bounceback outliers and returns beyond a standard
-deviation cutoff, pick the finest sampling frequency (1/5/10/15 s) with
-at least 95% bin coverage, and build the gap-free equispaced series by
-carrying the last observed price forward.  Bin counting relies on an
+deviation cutoff (each rule one sweep over just the oversized steps and
+the points after a drop), pick the finest sampling frequency of 1, 5, 10
+or 15 s with 95% bin coverage, and build the gap-free equispaced series
+by carrying the last price forward.  Bin counting relies on an
 aggregated series being strictly increasing in time, as aggregation
 emits it and the filter, which only deletes points, keeps it.
 """
@@ -22,6 +23,7 @@ log = logging.getLogger(__name__)
 
 DAY_SECONDS = 86_400
 FREQUENCIES = (1, 5, 10, 15)
+WARN_REMOVED_SHARE = 0.01      # filter_returns warns when a day loses more of its points
 
 
 @dataclass
@@ -69,49 +71,51 @@ def aggregate_cross_exchange(day: SymbolDaySlice) -> AggregatedSeries:
     return AggregatedSeries(day.symbol, day.utc_date, ts, np.log(sums / counts))
 
 
+def _sweep(lp: np.ndarray, cutoff: float,
+           reversal: float | None = None) -> list[tuple[int, float]]:
+    """Index and move of each point one rule drops, in order: its move from
+    the last kept point exceeds ``cutoff`` and, given ``reversal``, the next
+    return undoes at least that share of the move."""
+    n, drops = len(lp), []
+    cand = np.flatnonzero(np.abs(np.diff(lp)) > cutoff) + 1
+    at = 0
+    while at < len(cand):      # on from a kept point to the next oversized step
+        i = int(cand[at])
+        prev = i - 1
+        while i < n:
+            move = lp[i] - lp[prev]
+            if not abs(move) > cutoff or reversal is not None and not (
+                    i + 1 < n and move != 0 and -(lp[i + 1] - lp[i]) / move >= reversal):
+                break
+            drops.append((i, float(move)))
+            i += 1
+        at = int(np.searchsorted(cand, i, side="right"))
+    return drops
+
+
 def _one_filter_pass(lp: np.ndarray, ts: np.ndarray, sd_cutoff: float,
                      reversal: float) -> tuple[np.ndarray, list[RemovalRecord]]:
-    """Apply rule (a) then rule (b) once; returns surviving indices."""
-    removed: list[RemovalRecord] = []
-    n = len(lp)
-    r = np.diff(lp)
-    sd = float(np.std(r, ddof=1))
-    if sd == 0 or not np.isfinite(sd):
-        return np.arange(n), removed
-    cutoff = sd_cutoff * sd
-    if np.max(np.abs(r)) <= cutoff:
-        return np.arange(n), removed
+    """Apply rule (a) then rule (b) once; returns surviving indices.
 
+    Up to a drop the last kept point is the one before, so each rule's
+    sweep visits only the steps beyond the cutoff and the points right
+    after a drop.
+    """
+    sd = float(np.std(np.diff(lp), ddof=1))
+    if sd == 0 or not np.isfinite(sd):
+        return np.arange(len(lp)), []
+    cutoff = sd_cutoff * sd
     # (a) bounceback: a >cutoff move undone (>= reversal fraction) by the
     # very next return is a data error, drop the spike point
-    keep = np.ones(n, dtype=bool)
-    prev = 0
-    for i in range(1, n):
-        move = lp[i] - lp[prev]
-        if abs(move) > cutoff and i + 1 < n:
-            nxt = lp[i + 1] - lp[i]
-            if move != 0 and (-nxt / move) >= reversal:
-                keep[i] = False
-                removed.append(RemovalRecord(int(ts[i]), "bounceback", float(move)))
-                continue
-        prev = i
-
-    idx = np.nonzero(keep)[0]
-    lp2, ts2 = lp[idx], ts[idx]
-
+    bounced = _sweep(lp, cutoff, reversal)
+    idx = np.delete(np.arange(len(lp)), [i for i, _ in bounced])
     # (b) remaining oversized returns drop their right endpoint; the next
     # return is then measured from the last kept point, so a level shift
     # made of consecutive bad prints is consumed in this single pass
-    keep2 = np.ones(len(lp2), dtype=bool)
-    prev = 0
-    for i in range(1, len(lp2)):
-        move = lp2[i] - lp2[prev]
-        if abs(move) > cutoff:
-            keep2[i] = False
-            removed.append(RemovalRecord(int(ts2[i]), "sd_cutoff", float(move)))
-        else:
-            prev = i
-    return idx[keep2], removed
+    cut = _sweep(lp[idx], cutoff)
+    removed = [RemovalRecord(int(ts[i]), "bounceback", move) for i, move in bounced]
+    removed += [RemovalRecord(int(ts[idx[i]]), "sd_cutoff", move) for i, move in cut]
+    return np.delete(idx, [i for i, _ in cut]), removed
 
 
 def filter_returns(series: AggregatedSeries, sd_cutoff: float = 10.0,
@@ -137,8 +141,10 @@ def filter_returns(series: AggregatedSeries, sd_cutoff: float = 10.0,
         lp, ts = lp[kept], ts[kept]
     out = AggregatedSeries(series.symbol, series.utc_date, ts, lp)
     if removed:
-        log.info("filter_returns: %s %s removed %d points",
-                 series.symbol, series.utc_date, len(removed))
+        many = len(removed) > WARN_REMOVED_SHARE * len(series)
+        log.log(logging.WARNING if many else logging.INFO,
+                "filter_returns: %s %s removed %d of %d points",
+                series.symbol, series.utc_date, len(removed), len(series))
     return out, removed
 
 

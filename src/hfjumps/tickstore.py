@@ -282,7 +282,7 @@ class SymbolDaySlice:
     symbol: str
     utc_date: date
     timestamps_ns: np.ndarray
-    exchanges: list[str]
+    exchanges: np.ndarray      # str
     prices: np.ndarray
 
     def __len__(self) -> int:
@@ -329,7 +329,7 @@ def day_start_ns(day: date) -> int:
 
 # a rejected row's reason by code; the lower code wins when several apply
 _REASONS = ("", "bad timestamp", "bad price", "non-positive price", "missing field",
-            "bad symbol")
+            "bad symbol", "bad exchange")
 
 
 def _pair_reason(symbol: str, exchange: str) -> int:
@@ -338,6 +338,8 @@ def _pair_reason(symbol: str, exchange: str) -> int:
         return _REASONS.index("missing field")
     if symbol in (".", "..") or "/" in symbol or "\\" in symbol or "\0" in symbol:
         return _REASONS.index("bad symbol")      # the symbol must name one directory of the store
+    if "\0" in exchange:
+        return _REASONS.index("bad exchange")    # a numpy str array drops trailing NULs
     return 0
 
 
@@ -640,8 +642,7 @@ class TickStore:
                 parts.append((z["ts"], z["exchange"], z["price"]))
         ts, exch, price = (np.concatenate(col) for col in zip(*parts))
         order = np.lexsort((exch, ts))
-        return SymbolDaySlice(symbol, utc_date, ts[order], exch[order].tolist(),
-                              price[order])
+        return SymbolDaySlice(symbol, utc_date, ts[order], exch[order], price[order])
 
     def symbols(self) -> list[str]:
         base = self.root / "ticks"

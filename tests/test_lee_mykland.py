@@ -211,6 +211,27 @@ def test_lm_scan_jump_count_non_increasing_in_alpha():
     assert counts == sorted(counts, reverse=True)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(200, 3000), st.integers(3, 8), st.integers(1, 12),
+       st.sampled_from([0.5, 0.999]), st.booleans(), st.booleans())
+def test_lm_scan_moments_match_a_per_block_construction(seed, n, k, M, alpha, jump, stamped):
+    p = sim_day(seed, n=n, jump=(n // 2, 0.02) if jump else None)
+    ts = 1_614_556_800 * 10 ** 9 + np.cumsum(np.arange(1, n + 1)) if stamped else None
+    res = lm_scan(p, LmParams(k=k, M=M, alpha=alpha), timestamps_ns=ts)
+    sub = p[::k]
+    want = []
+    for j in range(len(sub) // M - 1):
+        pbar = float(np.mean(sub[(j + 1) * M:(j + 2) * M] - sub[j * M:(j + 1) * M]))
+        chi = pbar * (sqrt(M) / sqrt(res.noise.v_n))
+        xi = (abs(chi) - res.a_n) / res.b_n
+        want.append(LmMomentResult(j, None if ts is None else int(ts[min(j * k * M, n - 1)]),
+                                   pbar, chi, xi, xi > res.threshold))
+    assert res.moments == want
+    for got in res.moments:
+        assert [type(v) for v in vars(got).values()] == \
+            [int, int if stamped else type(None), float, float, float, bool]
+
+
 def test_lm_scan_too_few_blocks_rejected():
     with pytest.raises(DayRejected):
         lm_scan(np.linspace(4.5, 4.6, 40), LmParams(k=3, M=8))

@@ -1,4 +1,5 @@
 """Aggregation, outlier filtering, frequency selection, imputation."""
+import logging
 from datetime import date
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hfjumps.preprocess import (DAY_SECONDS, FREQUENCIES, AggregatedSeries,
+from hfjumps.preprocess import (DAY_SECONDS, FREQUENCIES, WARN_REMOVED_SHARE,
+                                AggregatedSeries, RemovalRecord,
                                 aggregate_cross_exchange, filter_returns,
                                 make_equispaced, select_frequency)
 from hfjumps.tickstore import SymbolDaySlice
@@ -21,7 +23,7 @@ def make_slice(entries):
     return SymbolDaySlice(
         "BTC", D,
         np.array([T0 + int(s * 1e9) for s, _, _ in entries], dtype=np.int64),
-        [e for _, e, _ in entries],
+        np.array([e for _, e, _ in entries], dtype=str),
         np.array([p for _, _, p in entries]))
 
 
@@ -176,6 +178,105 @@ def test_filter_short_series_passthrough():
     series = make_series([0, 1], [4.6, 4.7])
     out, removed = filter_returns(series)
     assert len(out) == 2 and removed == []
+
+
+def two_loop_filter_pass(lp, ts, sd_cutoff, reversal):
+    """Reference for one filter pass: both rules walk every point."""
+    removed = []
+    n = len(lp)
+    r = np.diff(lp)
+    sd = float(np.std(r, ddof=1))
+    if sd == 0 or not np.isfinite(sd):
+        return np.arange(n), removed
+    cutoff = sd_cutoff * sd
+    if np.max(np.abs(r)) <= cutoff:
+        return np.arange(n), removed
+    keep = np.ones(n, dtype=bool)
+    prev = 0
+    for i in range(1, n):
+        move = lp[i] - lp[prev]
+        if abs(move) > cutoff and i + 1 < n:
+            nxt = lp[i + 1] - lp[i]
+            if move != 0 and (-nxt / move) >= reversal:
+                keep[i] = False
+                removed.append(RemovalRecord(int(ts[i]), "bounceback", float(move)))
+                continue
+        prev = i
+    idx = np.nonzero(keep)[0]
+    lp2, ts2 = lp[idx], ts[idx]
+    keep2 = np.ones(len(lp2), dtype=bool)
+    prev = 0
+    for i in range(1, len(lp2)):
+        move = lp2[i] - lp2[prev]
+        if abs(move) > cutoff:
+            keep2[i] = False
+            removed.append(RemovalRecord(int(ts2[i]), "sd_cutoff", float(move)))
+        else:
+            prev = i
+    return idx[keep2], removed
+
+
+def two_loop_filter(lp, sd_cutoff, reversal):
+    """The reference pass iterated to its fixed point: kept indices and removals."""
+    idx, removed = np.arange(len(lp)), []
+    while len(idx) >= 3:
+        kept, rem = two_loop_filter_pass(lp[idx], idx, sd_cutoff, reversal)
+        if not rem:
+            break
+        removed += rem
+        idx = idx[kept]
+    return idx, removed
+
+
+@st.composite
+def dirty_paths(draw):
+    """A noisy log-price path with spikes, partial reversals, level shifts,
+    bursts of bad prints, zero-return runs and a print off the path at its end."""
+    n = draw(st.integers(3, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    lp = np.log(100.0) + np.cumsum(rng.normal(0.0, 1e-3, n))
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["spike", "shift", "burst", "flat", "last"]))
+        at = draw(st.integers(0, n - 1))
+        size = draw(st.floats(-40.0, 40.0)) * 1e-3
+        length = draw(st.integers(1, 12))
+        if kind == "spike":       # the next return undoes a drawn share of the spike
+            lp[at] += size
+            lp[at + 1:] += size * (1.0 - draw(st.floats(0.0, 1.5)))
+        elif kind == "shift":
+            lp[at:] += size
+        elif kind == "burst":
+            lp[at:at + length] += size
+        elif kind == "flat":
+            lp[at:at + length] = lp[at]
+        else:
+            lp[-1] += size
+    return lp
+
+
+@settings(max_examples=300, deadline=None)
+@given(dirty_paths(), st.floats(1.5, 12.0), st.floats(0.3, 1.2))
+def test_filter_matches_the_two_loop_reference(lp, sd_cutoff, reversal):
+    series = make_series(range(len(lp)), lp)
+    out, removed = filter_returns(series, sd_cutoff=sd_cutoff, reversal=reversal)
+    idx, want = two_loop_filter(lp, sd_cutoff, reversal)
+    np.testing.assert_array_equal(out.timestamps_ns, series.timestamps_ns[idx])
+    np.testing.assert_array_equal(out.log_prices, lp[idx])
+    assert [(r.timestamp_ns, r.rule, r.value.hex()) for r in removed] == \
+        [(int(series.timestamps_ns[r.timestamp_ns]), r.rule, r.value.hex()) for r in want]
+
+
+def test_filter_warns_when_a_day_loses_more_than_its_share(caplog):
+    lp = base_wiggle(1001)
+    lp[500:520] += 0.05                       # 20 bad prints: 2% of the day
+    caplog.set_level(logging.INFO, logger="hfjumps.preprocess")
+    filter_returns(make_series(range(len(lp)), lp))
+    lp = base_wiggle(1001)
+    lp[500:505] += 0.05                       # 5 bad prints: 0.5%
+    filter_returns(make_series(range(len(lp)), lp))
+    assert [(r.levelname, r.getMessage().split(" removed ")[1]) for r in caplog.records] == \
+        [("WARNING", "20 of 1001 points"), ("INFO", "5 of 1001 points")]
+    assert 5 <= WARN_REMOVED_SHARE * 1001 < 20
 
 
 # ---------------------------------------------------------------------------

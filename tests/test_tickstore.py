@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hfjumps import tickstore
@@ -146,6 +146,18 @@ def test_ingest_rejects_symbols_naming_other_directories(tmp_path):
     assert [p.name for p in (tmp_path / "work").iterdir()] == ["store"]
 
 
+def test_ingest_rejects_a_nul_in_the_exchange(tmp_path):
+    # a numpy str array drops trailing NULs: "\0" would store as "" and "A\0" as "A"
+    path = tmp_path / "in.csv"
+    path.write_text("time,exchange,symbol,price\n"
+                    f"{T0},\0,BTC,100.0\n{T0 + 1},A\0,BTC,101.0\n{T0 + 2},A,BTC,102.0\n")
+    store = TickStore(tmp_path / "store")
+    rep = store.ingest_csv(path)
+    assert (rep.accepted, rep.rejected) == (1, 2)
+    assert rep.reject_log == [(2, "bad exchange"), (3, "bad exchange")]
+    assert store.slice("BTC", date(2021, 3, 1)).exchanges.tolist() == ["A"]
+
+
 def test_ingest_rejects_timestamps_beyond_int64_ns(tmp_path):
     path = tmp_path / "in.csv"
     write_csv(path, [["2021-03-01T00:00:00Z", "A", "BTC", "100.0"],
@@ -197,7 +209,7 @@ def test_slice_two_exchanges_sorted(tmp_path):
     assert len(day) == 10
     assert list(np.diff(day.timestamps_ns) >= 0) == [True] * 9
     # stable (timestamp, exchange) order
-    assert day.exchanges[:2] == ["A", "B"]
+    assert day.exchanges[:2].tolist() == ["A", "B"]
 
 
 def test_slice_missing_day_is_empty_not_error(tmp_path):
@@ -267,7 +279,7 @@ def test_two_sources_one_day_hold_their_union(tmp_path):
     assert store.ingest_csv(a).accepted == 2 and store.ingest_csv(b).accepted == 2
     day = store.slice("BTC", date(2021, 3, 1))
     assert list(day.timestamps_ns) == [T0, T0, T0 + 10 ** 9, T0 + 2 * 10 ** 9]
-    assert day.exchanges == ["A", "B", "A", "B"]
+    assert day.exchanges.tolist() == ["A", "B", "A", "B"]
     assert list(day.prices) == [101.0, 103.0, 102.0, 100.0]
     assert store.ingest_csv(a).already_ingested and store.ingest_csv(b).already_ingested
     assert len(store.slice("BTC", date(2021, 3, 1))) == 4
@@ -513,6 +525,8 @@ def oracle_ingest(path, schema=CsvSchema()):
                 reason = "missing field"
             elif sym in (".", "..") or "/" in sym or "\\" in sym or "\0" in sym:
                 reason = "bad symbol"
+            elif "\0" in exch:
+                reason = "bad exchange"
             else:
                 buckets.setdefault((sym, utc_date(ts)), []).append((ts, exch, price))
                 continue
@@ -523,6 +537,8 @@ def oracle_ingest(path, schema=CsvSchema()):
     arrays = {key: (np.array([r[0] for r in rows], dtype=np.int64),
                     np.array([r[1] for r in rows]), np.array([r[2] for r in rows]))
               for key, rows in buckets.items()}
+    for key, rows in buckets.items():        # the str arrays hold each exchange as read
+        assert arrays[key][1].tolist() == [r[1] for r in rows]
     return fmt, log, by_reason, arrays
 
 
@@ -644,12 +660,16 @@ CSV_CELLS = {
 # what takes a line off the byte path, by kind: cells as written.  Quoted
 # cells hold commas, newlines and quotes; UTF-8 beyond ASCII holds digits
 # ``float`` reads and blanks str.strip takes; "\udcff" is written as the
-# byte 0xff, which is no UTF-8; a lone CR ends a record inside a line
+# byte 0xff, which is no UTF-8; a lone CR ends a record inside a line.
+# ``nul_exchange`` puts a NUL in the exchange and adds valid cells to the
+# other columns, so that often only the NUL is wrong with the row
 ODD_CELLS = {
     "quoted": {"time": [f'"{T0}"', f'"{ISO0}\n"'], "exchange": ['"A,B"', '"A\nB"', '"A""B"'],
                "symbol": ['"BTC"', '"B,TC"', '"BTC\r\n"'], "price": ['"7"', '"1,5"', '"100\n.5"']},
     "nul": {"time": [f"{T0}\x00"], "exchange": ["A\x00", "\x00"], "symbol": ["BT\x00C"],
             "price": ["1\x00", "7\x00"]},
+    "nul_exchange": {"time": [str(T0), ISO0], "exchange": ["A\x00", "\x00", "\x00A", "A\x00B"],
+                     "symbol": ["BTC"], "price": ["100.0"]},
     "utf8": {"time": [str(T0).translate(ARABIC_INDIC), ISO0 + "\u00a0"],
              "exchange": ["Börse", "\u3000A"], "symbol": ["ÉTH", " BTC\u3000"],
              "price": ["١٠٠", "\u00a07", "7".translate(ARABIC_INDIC) + ".5"]},
@@ -692,6 +712,8 @@ def csv_files(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(csv_files(), st.integers(1, 6))
+@example(f"time,exchange,symbol,price\n{T0},A,BTC,1\n{T0},\0,BTC,2\n{T0},A\0,BTC,3\n"
+         f"{T0},\0A,BTC,4\n".encode(), 2)
 def test_any_file_matches_the_oracle(tmp_path_factory, data, chunk_rows):
     tmp = tmp_path_factory.mktemp("csv")
     path = tmp / "in.csv"
@@ -827,4 +849,4 @@ def test_ingest_decodes_utf8_whatever_the_locale(tmp_path):
     assert encodings[0] == "utf8" and encodings[1] != "utf8"    # the locale's own is ASCII
     assert stores[0] == stores[1] and len(stores[0]) == 2       # one day file, one record
     day = TickStore(tmp_path / "c").slice("BTC", date(2021, 3, 1))
-    assert day.exchanges == ["Börse", "A"] and list(day.prices) == [100.0, 101.0]
+    assert day.exchanges.tolist() == ["Börse", "A"] and list(day.prices) == [100.0, 101.0]
