@@ -10,49 +10,67 @@ Run:  python demos/detector_tour.py
 """
 import numpy as np
 
-from hfjumps.ajl import AjlParams, ajl_test, s_j_ratio
+from hfjumps.ajl import AjlParams, ajl_test
 from hfjumps.lee_mykland import LmParams, dedup_consecutive, estimate_noise, lm_scan, select_k
 from hfjumps.simulate import SimConfig, simulate_day
 
 N = 86_400
 SIGMA, Q = 0.04, 0.0005
 
-continuous = simulate_day(SimConfig(sigma=SIGMA, q=Q, n=N, seed=1))
-jumpy = simulate_day(SimConfig(sigma=SIGMA, q=Q, n=N, seed=1,
-                               jump_times=(0.5,), jump_sizes=(0.4,)))
 
-for label, sim in (("continuous", continuous), ("one 10-sigma jump", jumpy)):
-    prices = sim.observed
-    print(f"=== {label} day, n={N} ===")
+def s_j_ratio(log_prices, p=4, k=2):
+    """Non-robust power-variation ratio B(p, k*Delta)/B(p, Delta).
 
-    # ---- moment-level test -------------------------------------------------
-    k = select_k(prices)
-    params = LmParams.for_series(N, k)
-    noise = estimate_noise(prices, k)
-    print(f"k={k} (autocorrelation rule), M={params.M}, "
-          f"q_hat={np.sqrt(noise.q_hat_sq):.6f}, "
-          f"sigma_hat={np.sqrt(noise.sigma_hat_sq):.4f}, V_n={noise.v_n:.3e}")
-    scan = lm_scan(prices, params, noise=noise)
-    xi = np.array([m.xi for m in scan.moments])
-    print(f"blocks={scan.n_blocks}, max xi={xi.max():.2f}, "
-          f"threshold={scan.threshold:.2f} (Bonferroni within day)")
-    accepted = dedup_consecutive(scan.moments)
-    for m in accepted:
-        frac = m.block_index * params.k * params.M / N
-        print(f"  jump flag: block {m.block_index} (~{24 * frac:.2f}h UTC), "
-              f"size {m.pbar:+.4f}, xi {m.xi:.1f}")
-    if not accepted:
-        print("  no moment-level flags")
+    It tends to 1 under jumps and k^{p/2-1} on a continuous path, but
+    microstructure noise breaks it, which is why the pipeline uses S_RJ
+    instead.
+    """
+    num = np.sum(np.abs((log_prices[k:] - log_prices[:-k])[::k]) ** p)
+    den = np.sum(np.abs(np.diff(log_prices)) ** p)
+    return float(num / den)
 
-    # ---- day-level test ----------------------------------------------------
-    ap = AjlParams()
-    r = ajl_test(prices, ap)
-    print(f"S_RJ={r.s_rj:.4f}  (jump limit 1, continuous limit "
-          f"gamma''={r.gamma_dprime:.4f}); critical={r.critical_value:.4f} "
-          f"-> reject no-jump null: {r.reject_null}")
 
-    # ---- the non-robust diagnostic ratio ----------------------------------
-    raw = s_j_ratio(sim.latent, p=4, k=2)
-    noisy = s_j_ratio(prices, p=4, k=2)
-    print(f"non-robust ratio S_J: latent path {raw:.3f} vs noisy {noisy:.3f} "
-          f"(noise wrecks it; expected ~2 continuous, ~1 jumpy)\n")
+def main():
+    continuous = simulate_day(SimConfig(sigma=SIGMA, q=Q, n=N, seed=1))
+    jumpy = simulate_day(SimConfig(sigma=SIGMA, q=Q, n=N, seed=1,
+                                   jump_times=(0.5,), jump_sizes=(0.4,)))
+
+    for label, sim in (("continuous", continuous), ("one 10-sigma jump", jumpy)):
+        prices = sim.observed
+        print(f"=== {label} day, n={N} ===")
+
+        # ---- moment-level test -------------------------------------------------
+        k = select_k(prices)
+        params = LmParams.for_series(N, k)
+        noise = estimate_noise(prices, k)
+        print(f"k={k} (autocorrelation rule), M={params.M}, "
+              f"q_hat={np.sqrt(noise.q_hat_sq):.6f}, "
+              f"sigma_hat={np.sqrt(noise.sigma_hat_sq):.4f}, V_n={noise.v_n:.3e}")
+        scan = lm_scan(prices, params, noise=noise)
+        xi = np.array([m.xi for m in scan.moments])
+        print(f"blocks={scan.n_blocks}, max xi={xi.max():.2f}, "
+              f"threshold={scan.threshold:.2f} (Bonferroni within day)")
+        accepted = dedup_consecutive(scan.moments)
+        for m in accepted:
+            frac = m.block_index * params.k * params.M / N
+            print(f"  jump flag: block {m.block_index} (~{24 * frac:.2f}h UTC), "
+                  f"size {m.pbar:+.4f}, xi {m.xi:.1f}")
+        if not accepted:
+            print("  no moment-level flags")
+
+        # ---- day-level test ----------------------------------------------------
+        ap = AjlParams()
+        r = ajl_test(prices, ap)
+        print(f"S_RJ={r.s_rj:.4f}  (jump limit 1, continuous limit "
+              f"gamma''={r.gamma_dprime:.4f}); critical={r.critical_value:.4f} "
+              f"-> reject no-jump null: {r.reject_null}")
+
+        # ---- the non-robust diagnostic ratio ----------------------------------
+        raw = s_j_ratio(sim.latent, p=4, k=2)
+        noisy = s_j_ratio(prices, p=4, k=2)
+        print(f"non-robust ratio S_J: latent path {raw:.3f} vs noisy {noisy:.3f} "
+              f"(noise wrecks it; expected ~2 continuous, ~1 jumpy)\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -16,8 +16,8 @@ __version__ = "0.1.0"
 
 _SUBMODULE = {
     **dict.fromkeys(("AjlDayResult", "AjlParams", "PARABOLA", "TRIANGLE",
-                     "WeightFunction", "ajl_constants", "ajl_test", "s_j_ratio",
-                     "solve_rho", "vbar", "vbar_reference"), "ajl"),
+                     "WeightFunction", "ajl_constants", "ajl_test", "solve_rho",
+                     "vbar"), "ajl"),
     **dict.fromkeys(("ExtremeCount", "PanelRow", "RegressionResult", "SummaryStats",
                      "build_panel", "count_extremes", "fe_regression", "seasonality",
                      "summarize_returns"), "analytics"),

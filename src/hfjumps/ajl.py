@@ -148,18 +148,6 @@ def solve_rho(p: int) -> np.ndarray:
     return rho
 
 
-def rho_residuals(p: int, rho: np.ndarray) -> np.ndarray:
-    """Residuals of the p/2 system equations at the given coefficients."""
-    res = []
-    for j in range(1, p // 2 + 1):
-        acc = 0.0
-        for l in range(j + 1):
-            acc += (2 ** l) * absolute_normal_moment(2 * j - 2 * l) \
-                   * comb(p - 2 * l, p - 2 * j) * rho[l]
-        res.append(acc)
-    return np.array(res)
-
-
 # ---------------------------------------------------------------------------
 # robust power variation
 # ---------------------------------------------------------------------------
@@ -222,25 +210,6 @@ def vbar(returns: np.ndarray, w: WeightFunction, p: int = 4, k_n: int = 100,
     if rho is None:
         rho = solve_rho(p)
     return float(_power_variations(d, (w,), p, k_n, rho)[0, 0])
-
-
-def vbar_reference(returns: np.ndarray, w: WeightFunction, p: int = 4,
-                   k_n: int = 100) -> float:
-    """Direct O(N k_n) window-by-window summation; kept as the oracle."""
-    d = np.asarray(returns, dtype=float)
-    N = len(d)
-    if N < k_n:
-        raise DayRejected("ajl_short", f"{N} returns < k_n={k_n}")
-    rho = solve_rho(p)
-    wj, wp = w.grid_weights(k_n)
-    wp2 = wp * wp
-    total = 0.0
-    for i in range(N - k_n + 1):
-        ybar = float(np.dot(wj, d[i:i + k_n - 1]))
-        yhat = float(np.dot(wp2, d[i:i + k_n] * d[i:i + k_n]))
-        for l in range(p // 2 + 1):
-            total += rho[l] * abs(ybar) ** (p - 2 * l) * yhat ** l
-    return total
 
 
 def ajl_constants(g: WeightFunction, h: WeightFunction, p: int = 4) -> tuple[float, float, float]:
@@ -543,20 +512,3 @@ def ajl_test(log_prices: np.ndarray, params: AjlParams,
         critical_value=float(critical), sigma_rj=float(sqrt_sigma_rj ** 2),
         reject_null=bool(s_rj < critical), mc_seed=seed, frequency_s=frequency_s,
         calibration=source)
-
-
-def s_j_ratio(log_prices: np.ndarray, p: int = 4, k: int = 2) -> float:
-    """Non-robust power-variation ratio B(p, k*Delta)/B(p, Delta).
-
-    Diagnostic only: it tends to 1 under jumps and k^{p/2-1} on a
-    continuous path, but microstructure noise breaks it, which is why
-    the pipeline uses S_RJ instead.
-    """
-    lp = np.asarray(log_prices, dtype=float)
-    d1 = np.diff(lp)
-    dk = lp[k:] - lp[:-k]
-    num = float(np.sum(np.abs(dk[::k]) ** p))
-    den = float(np.sum(np.abs(d1) ** p))
-    if den == 0:
-        raise DayRejected("ajl_flat", "flat series")
-    return num / den

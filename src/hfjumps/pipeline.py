@@ -13,15 +13,17 @@ import logging
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import ajl, lee_mykland as lm
-from .config import RunConfig
 from .errors import DayRejected
 from .preprocess import (AggregatedSeries, RemovalRecord, aggregate_cross_exchange,
                          filter_returns, make_equispaced, select_frequency)
 from .tickstore import TickStore
+
+if TYPE_CHECKING:
+    from .config import RunConfig
 
 log = logging.getLogger(__name__)
 
@@ -76,6 +78,10 @@ def detect_day(series: AggregatedSeries, cfg: RunConfig,
     preprocess -> moment scan + dedup -> day-level test -> combination.
     Any stage rejection yields an untested verdict naming the stage.
     """
+    # imported on first use: analyze and report read the catalog and the
+    # store, and need neither test
+    from . import ajl, lee_mykland as lm
+
     verdict = DayVerdict(symbol=series.symbol, utc_date=series.utc_date,
                          tested=False, config_hash=cfg.hash())
     if len(series) == 0:

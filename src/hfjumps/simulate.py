@@ -9,6 +9,7 @@ reproducible from the seed.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, replace
 from datetime import date, datetime, timezone
 from math import sqrt
@@ -17,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 DAY_NS = 86_400 * 10 ** 9
+BLOCK_TICKS = 2_048   # ticks formatted per write; larger blocks hold more text in memory
 
 
 @dataclass(frozen=True)
@@ -133,26 +135,47 @@ def write_tick_csv(sim: SimDay, path: str | Path, symbol: str, utc_date: date,
 
     With several exchanges each one re-observes the latent path through
     its own noise (seeded off the day seed), mimicking cross-market
-    micro-disagreement at identical timestamps.
+    micro-disagreement at identical timestamps.  The file holds the bytes
+    ``csv.writer`` gives row by row, formatted ``BLOCK_TICKS`` ticks at a
+    time, so the text in memory stays bounded whatever the day's length.
     """
-    ts = tick_timestamps_ns(utc_date, sim.config.n)
+    n = sim.config.n
+    ts = tick_timestamps_ns(utc_date, n)
     columns = {}
     for i, exch in enumerate(exchanges):
         if i == 0 and exchange_noise_q == 0.0:
             logp = sim.observed
         else:
             rng = np.random.default_rng((sim.config.seed, 7_001, i))
-            logp = sim.latent + exchange_noise_q * rng.standard_normal(sim.config.n)
+            logp = sim.latent + exchange_noise_q * rng.standard_normal(n)
         columns[exch] = np.exp(logp)
-    rows = 0
+    # each row is "<ns>,<exchange>,<symbol>,<price>"; only the constant
+    # middle cells can need quoting, so csv.writer quotes them once
+    middles = [f",{_csv_cells(exch, symbol)}," for exch in exchanges]
+    width = len(exchanges)
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["time", "exchange", "symbol", "price"])
-        for j in range(sim.config.n):
-            for exch in exchanges:
-                w.writerow([int(ts[j]), exch, symbol, repr(float(columns[exch][j]))])
-                rows += 1
-    return rows
+        fh.write(_csv_cells("time", "exchange", "symbol", "price") + "\r\n")
+        for start in range(0, n, BLOCK_TICKS):
+            stamps = list(map(str, ts[start:start + BLOCK_TICKS].tolist()))
+            # rows interleave the exchanges tick by tick; the closing ""
+            # ends the last row (and writes nothing when there are no rows)
+            lines = [""] * (len(stamps) * width + 1)
+            for i, exch in enumerate(exchanges):
+                prices = map(repr, columns[exch][start:start + BLOCK_TICKS].tolist())
+                lines[i:-1:width] = map(middles[i].join, zip(stamps, prices))
+            fh.write("\r\n".join(lines))
+    return n * width
+
+
+def _csv_cells(*cells: str) -> str:
+    """The cells as ``csv.writer`` joins and quotes them, less the line end.
+
+    The writer keeps its default ``\\r\\n`` terminator: its quoting of a
+    cell holding CR or LF depends on the terminator's characters.
+    """
+    buf = io.StringIO()
+    csv.writer(buf).writerow(cells)
+    return buf.getvalue()[:-2]
 
 
 def make_corpus(out_dir: str | Path, symbol: str, start: date, n_days: int,

@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
+from ajl_oracles import rho_residuals, vbar_reference
 import hfjumps.pipeline as pl
 from hfjumps.ajl import (PARABOLA, TRIANGLE, AjlParams, ajl_constants, ajl_test,
-                         rho_residuals, solve_rho, vbar, vbar_reference)
+                         solve_rho, vbar)
 from hfjumps.analytics import PanelRow, fe_regression
 from hfjumps.config import RunConfig
 from hfjumps.lee_mykland import LmParams, dedup_consecutive, estimate_noise, lm_scan, select_k
@@ -134,7 +135,7 @@ def test_criterion_size_study():
         "4 of 500 days flag (0.8%) with the table and the same 4 with the Monte-Carlo "
         "fallback; the plug-in q/sigma spreads from 0.045 to inf (sigma floored at 0 on "
         "165 days), and the flagged days read 0.06-0.09, so their null std is too small; "
-        "ROADMAP item 2 (noise-adaptive pre-averaging window)")))])
+        "ROADMAP item 3 (noise-adaptive pre-averaging window)")))])
 def test_criterion_size_multi_noise(noise_ratio, first_seed):
     """AJL-only size on 5-s days away from the q/sigma of the other studies.
 

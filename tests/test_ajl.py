@@ -1,4 +1,5 @@
 """Day-level ratio test: rho system, weights, power variation, decision."""
+import importlib.util
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,11 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ajl_oracles import rho_residuals, vbar_reference
 from hfjumps import ajl as ajl_module
 from hfjumps.ajl import (PARABOLA, TRIANGLE, AjlParams,
                          _fast_len, _power_variations, absolute_normal_moment,
-                         ajl_constants, ajl_test, rho_residuals, s_j_ratio,
-                         solve_rho, vbar, vbar_reference)
+                         ajl_constants, ajl_test, solve_rho, vbar)
 from hfjumps.errors import ConfigError, DayRejected
 
 # exact Beta-integral values for the default weight pair
@@ -433,6 +434,12 @@ def test_ajl_params_validation():
 # ---------------------------------------------------------------------------
 
 def test_s_j_diagnostic_limits_without_noise():
+    # the ratio lives in the demo that prints it
+    spec = importlib.util.spec_from_file_location(
+        "detector_tour", REPO / "demos" / "detector_tour.py")
+    tour = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tour)
+    s_j_ratio = tour.s_j_ratio
     rng = np.random.default_rng(7)
     n = 20_000
     cont = np.log(100.0) + np.cumsum(rng.normal(0, 0.04 / sqrt(n), n))

@@ -458,16 +458,16 @@ def startup_inputs(tmp_path_factory):
             "catalog": catalog, "sim_store": root / "sim_store"}
 
 
-DETECT_PATH = {"ajl", "config", "errors", "lee_mykland", "pipeline", "preprocess",
-               "tickstore"}
+READ_PATH = {"errors", "pipeline", "preprocess", "tickstore"}
 COMMAND_MODULES = {
     # none of ajl, analytics, config, lee_mykland, pipeline, preprocess or
     # simulate
     "ingest": {"errors", "tickstore"},
     "simulate": {"errors", "simulate"},
-    "detect": DETECT_PATH,
-    "analyze": DETECT_PATH | {"analytics"},
-    "report": DETECT_PATH,
+    "detect": READ_PATH | {"ajl", "config", "lee_mykland"},
+    # the catalog and store readers only: neither jump test, no config
+    "analyze": READ_PATH | {"analytics"},
+    "report": READ_PATH,
 }
 
 

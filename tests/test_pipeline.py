@@ -87,7 +87,7 @@ def test_verdict_invariant_no_events_without_ajl_reject():
 def test_combination_rule_counts_preserved_when_ajl_accepts(monkeypatch):
     # LM flags but the day-level gate does not reject: zero accepted events,
     # LM counts preserved in the verdict
-    import hfjumps.pipeline as pl
+    import hfjumps.ajl as ajl
     from hfjumps.ajl import AjlDayResult
 
     def no_reject(lp, params, frequency_s=None):
@@ -95,7 +95,7 @@ def test_combination_rule_counts_preserved_when_ajl_accepts(monkeypatch):
                             sigma_rj=0.01, reject_null=False, mc_seed=1,
                             frequency_s=frequency_s)
 
-    monkeypatch.setattr(pl.ajl, "ajl_test", no_reject)
+    monkeypatch.setattr(ajl, "ajl_test", no_reject)
     v = detect_day(sim_series(32, jumps=[(0.5, 0.03)]), CFG)
     assert v.tested
     assert len(v.lm["jumps"]) >= 1

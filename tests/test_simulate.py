@@ -1,10 +1,12 @@
 """Simulator: reproducibility, path law, ground truth, tick emission."""
+import csv
+import tracemalloc
 from datetime import date
 
 import numpy as np
 import pytest
 
-from hfjumps.simulate import (SimConfig, make_corpus, simulate_day,
+from hfjumps.simulate import (BLOCK_TICKS, SimConfig, make_corpus, simulate_day,
                               tick_timestamps_ns, write_tick_csv)
 from hfjumps.tickstore import TickStore
 
@@ -127,6 +129,67 @@ def test_write_tick_csv_multi_exchange(tmp_path):
     day = store.slice("ETH", date(2021, 3, 1))
     assert len(day) == 600
     assert sorted(set(day.exchanges)) == ["EXA", "EXB", "EXC"]
+
+
+def write_tick_csv_reference(sim, path, symbol, utc_date, exchanges=("SIM",),
+                             exchange_noise_q=0.0):
+    """One ``csv.writer.writerow`` per tick and exchange: the bytes
+    ``write_tick_csv`` must reproduce."""
+    ts = tick_timestamps_ns(utc_date, sim.config.n)
+    columns = {}
+    for i, exch in enumerate(exchanges):
+        if i == 0 and exchange_noise_q == 0.0:
+            logp = sim.observed
+        else:
+            rng = np.random.default_rng((sim.config.seed, 7_001, i))
+            logp = sim.latent + exchange_noise_q * rng.standard_normal(sim.config.n)
+        columns[exch] = np.exp(logp)
+    rows = 0
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["time", "exchange", "symbol", "price"])
+        for j in range(sim.config.n):
+            for exch in exchanges:
+                w.writerow([int(ts[j]), exch, symbol, repr(float(columns[exch][j]))])
+                rows += 1
+    return rows
+
+
+@pytest.mark.parametrize("noise_q", [0.0, 0.0005])
+@pytest.mark.parametrize("exchanges, symbol", [
+    (("SIM",), "BTC"),
+    (("EXA", "EXB", "EXC"), "ETH"),
+    # cells csv.writer quotes (comma, quote, CR, LF) or keeps as they are (blanks)
+    (("a,b", 'say "hi"', " pad "), "cr\rlf\n"),
+    (("\r\n",), ' x"y,z '),
+    (("A", "A"), "BTC"),        # a repeated exchange writes its last column twice
+    ((), "BTC"),                # header only
+], ids=["one", "three", "quoted", "crlf", "repeated", "none"])
+@pytest.mark.parametrize("n", [2, BLOCK_TICKS + 1])
+def test_write_tick_csv_matches_the_row_writer(tmp_path, n, exchanges, symbol, noise_q):
+    sim = simulate_day(SimConfig(seed=9, n=n, jump_intensity=1.0))
+    args = (symbol, date(2021, 3, 1), exchanges, noise_q)
+    want = write_tick_csv_reference(sim, tmp_path / "want.csv", *args)
+    assert write_tick_csv(sim, tmp_path / "got.csv", *args) == want == n * len(exchanges)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_write_tick_csv_holds_about_one_block(tmp_path):
+    """A day's text never sits in memory at once.  The writer holds the day's
+    arrays (timestamps, three price columns and one exchange's noise draw,
+    8 bytes a tick each) and one block of text, 1.25 MiB at 2,048 ticks and
+    3 exchanges: the bound allows 2 MiB for the block.  4,096-tick blocks
+    exceed it; formatting the whole day at once peaks at 61 MiB."""
+    n = 86_400
+    sim = simulate_day(SimConfig(seed=9, n=n))
+    tracemalloc.start()
+    try:
+        write_tick_csv(sim, tmp_path / "day.csv", "BTC", date(2021, 3, 1),
+                       ("EXA", "EXB", "EXC"), 0.0005)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * 5 + 2 * 2 ** 20
 
 
 def test_make_corpus_reproducible(tmp_path):
