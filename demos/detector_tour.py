@@ -47,14 +47,13 @@ def main():
               f"q_hat={np.sqrt(noise.q_hat_sq):.6f}, "
               f"sigma_hat={np.sqrt(noise.sigma_hat_sq):.4f}, V_n={noise.v_n:.3e}")
         scan = lm_scan(prices, params, noise=noise)
-        xi = np.array([m.xi for m in scan.moments])
-        print(f"blocks={scan.n_blocks}, max xi={xi.max():.2f}, "
+        print(f"blocks={scan.n_blocks}, max xi={scan.xi.max():.2f}, "
               f"threshold={scan.threshold:.2f} (Bonferroni within day)")
         accepted = dedup_consecutive(scan.moments)
-        for m in accepted:
-            frac = m.block_index * params.k * params.M / N
-            print(f"  jump flag: block {m.block_index} (~{24 * frac:.2f}h UTC), "
-                  f"size {m.pbar:+.4f}, xi {m.xi:.1f}")
+        for j in accepted:
+            frac = j * params.k * params.M / N
+            print(f"  jump flag: block {j} (~{24 * frac:.2f}h UTC), "
+                  f"size {scan.pbar[j]:+.4f}, xi {scan.xi[j]:.1f}")
         if not accepted:
             print("  no moment-level flags")
 

@@ -24,9 +24,10 @@ sys.path.insert(0, str(SRC))
 import numpy as np  # noqa: E402
 
 from hfjumps import ajl  # noqa: E402
+from hfjumps.preprocess import DAY_SECONDS, FREQUENCIES  # noqa: E402
 
 TABLE = SRC / "hfjumps" / "data" / ajl.NULL_TABLE
-LENGTHS = (5_760, 8_640, 17_280, 86_400)        # the 15/10/5/1-s grids of one day
+LENGTHS = tuple(sorted(DAY_SECONDS // f for f in FREQUENCIES))   # one day's grids, shortest first
 RATIOS = (0.0, *(10.0 ** (j / 4) for j in range(-12, 1)))
 K_N, P, G, H = 100, 4, "parabola", "triangle"
 PATHS, BASE_SEED = 2_000, 0

@@ -24,9 +24,9 @@ _SUBMODULE = {
     "RunConfig": "config",
     **dict.fromkeys(("ConfigError", "DayRejected", "HfJumpsError",
                      "NoVariationError"), "errors"),
-    **dict.fromkeys(("LmDayResult", "LmMomentResult", "LmParams", "NoiseEstimate",
-                     "dedup_consecutive", "estimate_noise", "gumbel_quantile",
-                     "lm_scan", "select_k"), "lee_mykland"),
+    **dict.fromkeys(("LmDayResult", "LmParams", "NoiseEstimate", "dedup_consecutive",
+                     "estimate_noise", "gumbel_quantile", "lm_scan", "select_k"),
+                    "lee_mykland"),
     **dict.fromkeys(("DayVerdict", "detect_day", "load_catalog",
                      "render_symbol_summary", "run_range"), "pipeline"),
     **dict.fromkeys(("AggregatedSeries", "EquispacedSeries", "RemovalRecord",

@@ -129,6 +129,15 @@ def _resolve_config(args) -> RunConfig:
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _open_store(path: str):
+    """The tick store at ``path``, which must exist: only ``ingest`` creates one."""
+    from .tickstore import TickStore
+
+    if not Path(path).is_dir():
+        raise FileNotFoundError(f"no tick store at {path}")
+    return TickStore(path)
+
+
 def cmd_ingest(args) -> int:
     from .tickstore import CsvSchema, TickStore
 
@@ -170,10 +179,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_detect(args) -> int:
     from . import pipeline
-    from .tickstore import TickStore
 
     cfg = _resolve_config(args)
-    store = TickStore(args.store)
+    store = _open_store(args.store)
     symbols = ([s.strip() for s in args.symbols.split(",") if s.strip()]
                if args.symbols else store.symbols())
     days = [d for d in sorted({d for s in symbols for d in store.days(s)})
@@ -191,10 +199,10 @@ def cmd_detect(args) -> int:
 
 def cmd_analyze(args) -> int:
     from . import analytics, pipeline
-    from .tickstore import TickStore
 
+    store = _open_store(args.store)
     records = pipeline.load_catalog(args.catalog)
-    hf_returns = pipeline.tested_returns(TickStore(args.store), records)
+    hf_returns = pipeline.tested_returns(store, records)
     tables, dropped = analytics.build_tables(records, hf_returns)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -27,7 +27,7 @@ References:
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import asin, log, pi, sqrt
 
 import numpy as np
@@ -91,28 +91,29 @@ class NoiseEstimate:
 
 
 @dataclass
-class LmMomentResult:
-    block_index: int
-    block_start_ns: int | None
-    pbar: float
-    chi: float
-    xi: float
-    is_jump: bool
-
-
-@dataclass
 class LmDayResult:
+    """One day's scan: ``pbar``, ``chi``, ``xi`` and ``starts`` hold one entry per
+    block increment j (block j to block j + 1)."""
+
     params: LmParams
     noise: NoiseEstimate
     n_blocks: int            # floor(n / (k M)), the family size in A_n/B_n
     a_n: float
     b_n: float
     threshold: float         # Gumbel quantile applied to each xi
-    moments: list[LmMomentResult] = field(default_factory=list)
+    pbar: np.ndarray
+    chi: np.ndarray
+    xi: np.ndarray
+    starts: np.ndarray | None    # block j's first timestamp (ns); None when unstamped
 
     @property
-    def flagged(self) -> list[LmMomentResult]:
-        return [m for m in self.moments if m.is_jump]
+    def moments(self) -> np.ndarray:
+        """Which increments are flagged: the mask ``xi > threshold``."""
+        return self.xi > self.threshold
+
+    @property
+    def flagged(self) -> list[int]:
+        return np.flatnonzero(self.moments).tolist()
 
 
 def select_k(log_prices: np.ndarray) -> int:
@@ -224,9 +225,7 @@ def lm_scan(log_prices: np.ndarray, params: LmParams,
         raise DayRejected("lm_flat", "V_n is zero (flat day)")
 
     sub = p[::k]
-    n_blocks = len(sub) // M
-    if n_blocks < 2:
-        raise DayRejected("lm_blocks", f"only {n_blocks} complete blocks")
+    n_blocks = len(sub) // M    # >= L, as len(sub) >= n // k
     blocks = sub[: n_blocks * M].reshape(n_blocks, M)
     pbar = np.mean(blocks[1:] - blocks[:-1], axis=1)
     chi = pbar * (sqrt(M) / sqrt(noise.v_n))
@@ -239,28 +238,23 @@ def lm_scan(log_prices: np.ndarray, params: LmParams,
     threshold = gumbel_quantile(level)
 
     step = k * M                # block j starts at tick j * step
-    starts = ([None] * len(pbar) if timestamps_ns is None
-              else np.asarray(timestamps_ns)[:len(pbar) * step:step].tolist())
-    moments = [LmMomentResult(j, *row) for j, row in enumerate(zip(
-        starts, pbar.tolist(), chi.tolist(), xi.tolist(), (xi > threshold).tolist()))]
-    return LmDayResult(params=params, noise=noise, n_blocks=L,
-                       a_n=a_n, b_n=b_n, threshold=threshold, moments=moments)
+    starts = (None if timestamps_ns is None
+              else np.asarray(timestamps_ns)[:len(pbar) * step:step])
+    return LmDayResult(params=params, noise=noise, n_blocks=L, a_n=a_n, b_n=b_n,
+                       threshold=threshold, pbar=pbar, chi=chi, xi=xi, starts=starts)
 
 
-def dedup_consecutive(moments: list[LmMomentResult], window: int = 10) -> list[LmMomentResult]:
+def dedup_consecutive(moments: np.ndarray, window: int = 10) -> list[int]:
     """Collapse runs of consecutive detections into their first flag.
 
+    ``moments`` is a scan's flag mask; the result is the kept indices.
     After an accepted jump at block j, flags in (j, j + window] are
     continuations and are dropped; scanning resumes at the first flag
     past j + window.  The first flag of a run is always kept and no two
     accepted flags are within ``window`` blocks of each other.
     """
-    accepted: list[LmMomentResult] = []
-    last = None
-    for m in moments:
-        if not m.is_jump:
-            continue
-        if last is None or m.block_index > last + window:
-            accepted.append(m)
-            last = m.block_index
+    accepted: list[int] = []
+    for j in np.flatnonzero(moments).tolist():
+        if not accepted or j > accepted[-1] + window:
+            accepted.append(j)
     return accepted

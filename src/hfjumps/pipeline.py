@@ -133,8 +133,8 @@ def detect_day(series: AggregatedSeries, cfg: RunConfig,
         "q_hat_sq": scan.noise.q_hat_sq,
         "sigma_hat_sq": scan.noise.sigma_hat_sq,
         "v_n": scan.noise.v_n,
-        "jumps": [{"time": m.block_start_ns, "size": m.pbar, "xi": m.xi}
-                  for m in deduped],
+        "jumps": [{"time": int(scan.starts[j]), "size": float(scan.pbar[j]),
+                   "xi": float(scan.xi[j])} for j in deduped],
     }
     verdict.ajl = {
         "p": ajl_params.p, "k_n": ajl_params.k_n,
@@ -147,9 +147,9 @@ def detect_day(series: AggregatedSeries, cfg: RunConfig,
     # day-level test also rejects the no-jump null
     if day_ajl.reject_null:
         verdict.accepted_jumps = [
-            {"utc_timestamp_ns": m.block_start_ns, "size": m.pbar,
-             "direction": "positive" if m.pbar > 0 else "negative", "xi": m.xi}
-            for m in deduped]
+            {"utc_timestamp_ns": jump["time"], "size": jump["size"],
+             "direction": "positive" if jump["size"] > 0 else "negative", "xi": jump["xi"]}
+            for jump in verdict.lm["jumps"]]
     return verdict
 
 

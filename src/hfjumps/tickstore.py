@@ -42,6 +42,7 @@ import os
 import re
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -369,30 +370,6 @@ def _columns(rows: list[list[str]], width: int) -> list[tuple[str, ...]]:
     return list(zip(*rows))
 
 
-_BLOCK = 1 << 16          # bytes read at a time
-
-
-def _line_blocks(fh, size: int):
-    """The rest of a binary file as blocks of ``size`` whole lines; the last holds what is left."""
-    pending = b""
-    while True:
-        parts, count = [pending], pending.count(b"\n")
-        while count < size:
-            block = fh.read(_BLOCK)
-            if not block:
-                break
-            parts.append(block)
-            count += block.count(b"\n")
-        pending = b"".join(parts)
-        if count < size:
-            if pending:
-                yield pending
-            return
-        cut = np.flatnonzero(np.frombuffer(pending, np.uint8) == ord("\n"))[size - 1] + 1
-        yield pending[:cut]
-        pending = pending[cut:]
-
-
 def _plain_lines(block: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     """The start and end of each line of ``block``, a CRLF's CR left out; None unless plain.
 
@@ -462,7 +439,7 @@ def _chunks(fh, fields: tuple[str, ...], path: Path):
         header = text.split(",") if text else []
         columns = _field_columns(header, fields, path)
         line, offset = 1, len(head)
-        for block in _line_blocks(fh, size):
+        for block in iter(lambda: b"".join(islice(fh, size)), b""):
             cells = _plain_cells(block, len(header))
             if cells is None:
                 break
@@ -528,10 +505,14 @@ class TickStore:
 
     A source's record is written after all of its partition files, so it
     marks a completed ingest: re-ingesting the same content is a no-op
-    returning the recorded counts.  An ingest that dies before its record
-    is written is redone by a retry, which rewrites the same files, so no
-    row is stored twice.  Duplicate rows are kept (simultaneity is
-    resolved at aggregation time).
+    returning the recorded counts, and reads see only the partitions of
+    sources with a record.  An ingest that dies before its record is
+    written leaves nothing visible and is redone by a retry, which
+    rewrites the same files, so no row is stored twice.  Duplicate rows
+    are kept (simultaneity is resolved at aggregation time).
+
+    Only an ingest creates directories; a root that does not exist reads
+    as an empty store.
     """
 
     def __init__(self, root: str | Path):
@@ -539,7 +520,6 @@ class TickStore:
         if (self.root / "manifest.json").exists():
             raise OSError(f"{self.root} holds a tick store in the old CSV layout "
                           "(manifest.json); ingest the source CSVs into a new store")
-        (self.root / "ticks").mkdir(parents=True, exist_ok=True)
 
     # -- ingestion ----------------------------------------------------
     def ingest_csv(self, path: str | Path, schema: CsvSchema = CsvSchema()) -> IngestReport:
@@ -629,6 +609,11 @@ class TickStore:
     def _day_dir(self, symbol: str, day: date) -> Path:
         return self.root / "ticks" / symbol / day.isoformat()
 
+    def _committed(self, base: Path, pattern: str) -> list[Path]:
+        """The partition files under ``base`` matching ``pattern`` whose source has a record."""
+        sources = self.root / "sources"
+        return [p for p in base.glob(pattern) if (sources / f"{p.stem}.json").exists()]
+
     def slice(self, symbol: str, utc_date: date) -> SymbolDaySlice:
         """Return the time-sorted symbol-day slice; empty if never ingested.
 
@@ -637,7 +622,7 @@ class TickStore:
         exchange) pair keep their file order, files their digest order.
         """
         parts = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=str), np.empty(0))]
-        for part in sorted(self._day_dir(symbol, utc_date).glob("*.npz")):
+        for part in sorted(self._committed(self._day_dir(symbol, utc_date), "*.npz")):
             with np.load(part) as z:
                 parts.append((z["ts"], z["exchange"], z["price"]))
         ts, exch, price = (np.concatenate(col) for col in zip(*parts))
@@ -645,9 +630,9 @@ class TickStore:
         return SymbolDaySlice(symbol, utc_date, ts[order], exch[order], price[order])
 
     def symbols(self) -> list[str]:
-        base = self.root / "ticks"
-        return sorted(p.name for p in base.iterdir() if p.is_dir())
+        parts = self._committed(self.root / "ticks", "*/*/*.npz")
+        return sorted({p.parent.parent.name for p in parts})
 
     def days(self, symbol: str) -> list[date]:
-        parts = (self.root / "ticks" / symbol).glob("*/*.npz")
+        parts = self._committed(self.root / "ticks" / symbol, "*/*.npz")
         return sorted({date.fromisoformat(p.parent.name) for p in parts})

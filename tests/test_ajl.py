@@ -15,6 +15,7 @@ from hfjumps.ajl import (PARABOLA, TRIANGLE, AjlParams,
                          _fast_len, _power_variations, absolute_normal_moment,
                          ajl_constants, ajl_test, solve_rho, vbar)
 from hfjumps.errors import ConfigError, DayRejected
+from hfjumps.preprocess import DAY_SECONDS, FREQUENCIES
 
 # exact Beta-integral values for the default weight pair
 EXACT = {"g2": 1 / 30, "h2": 1 / 12, "g4": 1 / 630, "h4": 1 / 80}
@@ -314,7 +315,8 @@ def load_table_script():
 def test_table_covers_every_grid_length_and_node():
     rows = table_rows()
     nodes = [0.0] + [10.0 ** (j / 4) for j in range(-12, 1)]
-    assert set(rows) == {(n, r) for n in (5_760, 8_640, 17_280, 86_400) for r in nodes}
+    lengths = {DAY_SECONDS // f for f in FREQUENCIES}      # one day's sampling grids
+    assert set(rows) == {(n, r) for n in lengths for r in nodes}
     assert all(std > 0 for std in rows.values())
 
 

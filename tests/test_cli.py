@@ -177,6 +177,29 @@ def test_detect_on_empty_store_exit_0(tmp_path):
     assert manifest["completed_days"] == 0
 
 
+@pytest.mark.parametrize("command", ["detect", "analyze"])
+def test_missing_store_exit_2_and_creates_nothing(tmp_path, capsys, command):
+    store = tmp_path / "absent"
+    catalog = tmp_path / "catalog.jsonl"
+    catalog.write_text("")
+    out = {"detect": ["--out", str(tmp_path / "out" / "catalog.jsonl")],
+           "analyze": ["--catalog", str(catalog), "--out", str(tmp_path / "out")]}[command]
+    assert run(command, "--store", str(store), *out) == 2
+    assert capsys.readouterr().err == f"i/o error: no tick store at {store}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["catalog.jsonl"]
+
+
+def test_store_of_rejected_rows_reads_as_empty(tmp_path):
+    path = tmp_path / "ticks.csv"
+    path.write_text("time,exchange,symbol,price\n1614556800000000000,A,BTC,0\n")
+    store = tmp_path / "s"
+    assert run("ingest", "--store", str(store), "--csv", str(path)) == 0
+    assert [p.name for p in store.iterdir()] == ["sources"]
+    out = tmp_path / "catalog.jsonl"
+    assert run("detect", "--store", str(store), "--out", str(out)) == 0
+    assert out.read_text() == ""
+
+
 def small_store(tmp_path):
     corpus, store = tmp_path / "corpus", tmp_path / "store"
     assert run("simulate", "--out", str(corpus), "--days", "2", "--symbol", "BTC",

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hfjumps.errors import DayRejected
-from hfjumps.lee_mykland import (LmMomentResult, LmParams, an_bn,
-                                 dedup_consecutive, estimate_noise,
-                                 gumbel_quantile, lm_scan, select_k)
+from hfjumps.lee_mykland import (LmParams, an_bn, dedup_consecutive,
+                                 estimate_noise, gumbel_quantile, lm_scan,
+                                 select_k)
 
 
 def acf_oracle(returns, max_lag):
@@ -149,6 +149,7 @@ def test_lm_scan_block_count_and_moment_count():
     res = lm_scan(p, params)
     assert res.n_blocks == 2880
     assert len(res.moments) == 2879           # last block has no successor
+    assert len(res.pbar) == len(res.chi) == len(res.xi) == 2879
 
 
 def test_lm_scan_flags_injected_jump_near_block():
@@ -159,7 +160,7 @@ def test_lm_scan_flags_injected_jump_near_block():
         inj = int(rng.integers(2000, 84_000))
         p = sim_day(seed, jump=(inj, 10 * 0.04))
         res = lm_scan(p, params)
-        flags = [m.block_index for m in res.moments if m.is_jump]
+        flags = res.flagged
         assert flags, "10-sigma jump must be detected"
         jblock = inj // (3 * 8)
         if min(abs(f - jblock) for f in flags) <= 1:
@@ -176,9 +177,7 @@ def test_lm_scan_no_flags_on_null_day():
 
 def test_lm_scan_max_statistic_identity():
     res = lm_scan(sim_day(8), LmParams(k=5, M=6))
-    chis = np.array([m.chi for m in res.moments])
-    xis = np.array([m.xi for m in res.moments])
-    assert (np.abs(chis).max() - res.a_n) / res.b_n == xis.max()
+    assert (np.abs(res.chi).max() - res.a_n) / res.b_n == res.xi.max()
 
 
 def test_lm_scan_shift_invariance_bitwise():
@@ -188,8 +187,8 @@ def test_lm_scan_shift_invariance_bitwise():
     params = LmParams(k=3, M=4)
     base = lm_scan(p, params)
     shifted = lm_scan(p + 1.0, params)
-    for a, b in zip(base.moments, shifted.moments):
-        assert a.pbar == b.pbar and a.chi == b.chi and a.xi == b.xi
+    for name in ("pbar", "chi", "xi"):
+        assert np.array_equal(getattr(base, name), getattr(shifted, name))
 
 
 def test_lm_scan_scale_invariance_1e10():
@@ -197,9 +196,11 @@ def test_lm_scan_scale_invariance_1e10():
     params = LmParams(k=3, M=4)
     base = lm_scan(p, params)
     scaled = lm_scan(7.0 * p, params)
-    for a, b in zip(base.moments, scaled.moments):
-        assert b.chi == pytest.approx(a.chi, rel=1e-10)
-        assert b.xi == pytest.approx(a.xi, rel=1e-10, abs=1e-10)
+    assert len(scaled.xi) == len(base.xi)
+    for a, b in zip(base.chi, scaled.chi):
+        assert b == pytest.approx(a, rel=1e-10)
+    for a, b in zip(base.xi, scaled.xi):
+        assert b == pytest.approx(a, rel=1e-10, abs=1e-10)
 
 
 def test_lm_scan_jump_count_non_increasing_in_alpha():
@@ -224,12 +225,18 @@ def test_lm_scan_moments_match_a_per_block_construction(seed, n, k, M, alpha, ju
         pbar = float(np.mean(sub[(j + 1) * M:(j + 2) * M] - sub[j * M:(j + 1) * M]))
         chi = pbar * (sqrt(M) / sqrt(res.noise.v_n))
         xi = (abs(chi) - res.a_n) / res.b_n
-        want.append(LmMomentResult(j, None if ts is None else int(ts[min(j * k * M, n - 1)]),
-                                   pbar, chi, xi, xi > res.threshold))
-    assert res.moments == want
-    for got in res.moments:
-        assert [type(v) for v in vars(got).values()] == \
-            [int, int if stamped else type(None), float, float, float, bool]
+        want.append((None if ts is None else int(ts[min(j * k * M, n - 1)]),
+                     pbar, chi, xi, xi > res.threshold))
+    starts, pbar, chi, xi, flag = zip(*want)
+    assert res.pbar.tolist() == list(pbar)
+    assert res.chi.tolist() == list(chi)
+    assert res.xi.tolist() == list(xi)
+    assert res.moments.tolist() == list(flag)
+    assert res.flagged == [j for j, f in enumerate(flag) if f]
+    if stamped:
+        assert res.starts.tolist() == list(starts)
+    else:
+        assert res.starts is None
 
 
 def test_lm_scan_too_few_blocks_rejected():
@@ -242,32 +249,33 @@ def test_lm_scan_too_few_blocks_rejected():
 # ---------------------------------------------------------------------------
 
 def moments_at(indices):
-    return [LmMomentResult(block_index=i, block_start_ns=None, pbar=0.01,
-                           chi=9.0, xi=20.0, is_jump=i in indices)
-            for i in range(max(indices) + 1)] if indices else []
+    """A flag mask with the given indices set, as long as the largest needs."""
+    mask = np.zeros(max(indices) + 1 if indices else 0, bool)
+    mask[list(indices)] = True
+    return mask
 
 
 def test_dedup_paper_rule_example():
     acc = dedup_consecutive(moments_at({100, 103, 108, 200}), window=10)
-    assert [m.block_index for m in acc] == [100, 200]
+    assert acc == [100, 200]
 
 
 def test_dedup_empty():
-    assert dedup_consecutive([], window=10) == []
+    assert dedup_consecutive(np.zeros(0, bool), window=10) == []
+    assert dedup_consecutive(np.zeros(50, bool), window=10) == []
 
 
 def test_dedup_boundary_exclusive():
-    acc = dedup_consecutive(moments_at({5, 16}), window=10)
-    assert [m.block_index for m in acc] == [5, 16]
-    acc2 = dedup_consecutive(moments_at({5, 15}), window=10)
-    assert [m.block_index for m in acc2] == [5]
+    assert dedup_consecutive(moments_at({5, 16}), window=10) == [5, 16]
+    assert dedup_consecutive(moments_at({5, 15}), window=10) == [5]
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sets(st.integers(0, 400), min_size=0, max_size=40),
        st.integers(1, 15))
 def test_dedup_properties(flags, window):
-    acc = [m.block_index for m in dedup_consecutive(moments_at(flags), window)]
+    acc = dedup_consecutive(moments_at(flags), window)
+    assert all(type(a) is int for a in acc)
     if flags:
         assert acc[0] == min(flags)            # first of a run always kept
     assert all(b - a > window for a, b in zip(acc, acc[1:]))

@@ -60,6 +60,17 @@ def test_jump_day_accepted_events_match_combination():
     assert abs(ev["utc_timestamp_ns"] - inj_ns) < 300 * 10 ** 9
 
 
+def test_catalog_jumps_hold_python_numbers():
+    # the scan's numpy scalars must not leak into the JSON records
+    v = detect_day(sim_series(32, jumps=[(0.5, 0.03)]), CFG)
+    assert v.lm["jumps"] and v.accepted_jumps
+    for jump in v.lm["jumps"]:
+        assert [type(jump[key]) for key in ("time", "size", "xi")] == [int, float, float]
+    for ev in v.accepted_jumps:
+        assert [type(ev[key]) for key in ("utc_timestamp_ns", "size", "xi")] == \
+            [int, float, float]
+
+
 @pytest.mark.parametrize("n, freq", [(86_400, 1), (17_280, 5)])
 def test_default_detect_day_runs_no_monte_carlo(monkeypatch, n, freq):
     import hfjumps.ajl as ajl

@@ -218,11 +218,24 @@ def test_slice_missing_day_is_empty_not_error(tmp_path):
     assert day.empty
 
 
+def test_only_an_ingest_creates_the_store(tmp_path):
+    store = TickStore(tmp_path / "store")
+    assert store.symbols() == [] and store.days("BTC") == []
+    assert not (tmp_path / "store").exists()
+    path = tmp_path / "in.csv"
+    write_csv(path, [[T0, "A", "BTC", "0"]])          # every row rejected
+    assert store.ingest_csv(path).accepted == 0
+    assert [p.name for p in (tmp_path / "store").iterdir()] == ["sources"]
+    assert store.symbols() == [] and store.days("BTC") == []
+
+
 def test_unreadable_store_raises_oserrors(tmp_path):
     store = TickStore(tmp_path / "store")
     part = tmp_path / "store" / "ticks" / "BTC" / "2021-03-01"
     part.mkdir(parents=True)
     (part / f"{'0' * 64}.npz").mkdir()       # a directory where a file belongs
+    (tmp_path / "store" / "sources").mkdir()
+    (tmp_path / "store" / "sources" / f"{'0' * 64}.json").write_text("{}")
     with pytest.raises(OSError):
         store.slice("BTC", date(2021, 3, 1))
 
@@ -261,9 +274,15 @@ def test_interrupted_ingest_retry_stores_each_row_once(tmp_path, monkeypatch):
     with pytest.raises(OSError):
         store.ingest_csv(path)
     monkeypatch.setattr(tickstore, "_write_replacing", write)
-    assert store.days("BTC") == [date(2021, 3, 1)]       # the first day landed
+    # the first day's file landed, but the source has no record: nothing is visible
+    assert len(list((tmp_path / "store" / "ticks").rglob("*.npz"))) == 1
+    assert store.symbols() == [] and store.days("BTC") == []
+    assert store.slice("BTC", date(2021, 3, 1)).empty
+    assert store.slice("BTC", date(2021, 3, 2)).empty
     rep = store.ingest_csv(path)
     assert (rep.accepted, rep.already_ingested) == (8, False)
+    assert store.symbols() == ["BTC"]
+    assert store.days("BTC") == [date(2021, 3, 1), date(2021, 3, 2)]
     d1 = store.slice("BTC", date(2021, 3, 1))
     d2 = store.slice("BTC", date(2021, 3, 2))
     assert list(d1.timestamps_ns) == [T0 + i * 10 ** 9 for i in range(3)]
