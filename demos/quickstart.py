@@ -6,9 +6,10 @@ import tempfile
 from datetime import date
 from pathlib import Path
 
-from hfjumps import RunConfig, TickStore, run_range
-from hfjumps.pipeline import render_symbol_summary
+from hfjumps.config import RunConfig
+from hfjumps.pipeline import render_symbol_summary, run_range
 from hfjumps.simulate import SimConfig, make_corpus
+from hfjumps.tickstore import TickStore
 
 workdir = Path(tempfile.mkdtemp(prefix="hfjumps_demo_"))
 print(f"working in {workdir}\n")

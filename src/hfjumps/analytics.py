@@ -136,16 +136,15 @@ class PanelRow:
 def build_panel(day_records: list[dict]) -> tuple[list[PanelRow], list[str]]:
     """Symbol-day rows of close-to-close returns and jump dummies.
 
-    ``day_records`` are catalog entries (dicts with symbol, date, tested,
-    close_log_price, accepted_jumps).  The daily return and the lag both
-    reference the previous calendar day only; a row whose previous day
-    was untested or absent is dropped and logged.  A day with jumps of
-    both signs sets both sign dummies.
+    ``day_records`` are catalog entries (dicts with symbol, ISO date
+    string, tested, close_log_price, accepted_jumps).  The daily return
+    and the lag both reference the previous calendar day only; a row
+    whose previous day was untested or absent is dropped and logged.  A
+    day with jumps of both signs sets both sign dummies.
     """
     by_key: dict[tuple[str, date], dict] = {}
     for rec in day_records:
-        d = rec["date"] if isinstance(rec["date"], date) else date.fromisoformat(rec["date"])
-        by_key[(rec["symbol"], d)] = rec
+        by_key[(rec["symbol"], date.fromisoformat(rec["date"]))] = rec
     rows: list[PanelRow] = []
     dropped: list[str] = []
     for (symbol, d), rec in sorted(by_key.items()):

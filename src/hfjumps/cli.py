@@ -180,10 +180,25 @@ def cmd_simulate(args) -> int:
 def cmd_detect(args) -> int:
     from . import pipeline
 
+    if None not in (args.date_from, args.date_to) and args.date_from > args.date_to:
+        print(f"error: --from {args.date_from} is after --to {args.date_to}",
+              file=sys.stderr)
+        return EXIT_USAGE
     cfg = _resolve_config(args)
     store = _open_store(args.store)
-    symbols = ([s.strip() for s in args.symbols.split(",") if s.strip()]
-               if args.symbols else store.symbols())
+    symbols = store.symbols()
+    if args.symbols is not None:
+        # a typo must neither pass as a finished run nor widen the Bonferroni
+        # family, and a repeated symbol must not test its days twice
+        requested = list(dict.fromkeys(s.strip() for s in args.symbols.split(",")
+                                       if s.strip()))
+        unknown = [s for s in requested if s not in symbols]
+        if unknown or not requested:
+            print(f"error: --symbols {args.symbols!r}: "
+                  + (f"not in the store: {', '.join(unknown)}" if unknown
+                     else "names no symbol"), file=sys.stderr)
+            return EXIT_USAGE
+        symbols = requested
     days = [d for d in sorted({d for s in symbols for d in store.days(s)})
             if (args.date_from is None or d >= args.date_from)
             and (args.date_to is None or d <= args.date_to)]

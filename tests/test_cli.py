@@ -217,6 +217,44 @@ def test_detect_creates_the_catalog_directory(tmp_path):
     assert json.loads(out.with_name("catalog.jsonl.manifest.json").read_text())["complete"]
 
 
+@pytest.fixture(scope="module")
+def btc_store(tmp_path_factory):
+    return small_store(tmp_path_factory.mktemp("btc"))
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--symbols", "NOPE"], "--symbols 'NOPE': not in the store: NOPE"),
+    (["--symbols", "BTC,NOPE"], "--symbols 'BTC,NOPE': not in the store: NOPE"),
+    (["--symbols", " , "], "--symbols ' , ': names no symbol"),
+    (["--from", "2021-01-02", "--to", "2021-01-01"],
+     "--from 2021-01-02 is after --to 2021-01-01"),
+], ids=["unknown", "one-unknown", "none", "reversed-range"])
+def test_detect_refuses_what_the_store_cannot_answer(btc_store, tmp_path, capsys,
+                                                     flags, message):
+    out = tmp_path / "out" / "catalog.jsonl"
+    assert run("detect", "--store", str(btc_store), "--out", str(out), *flags) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_detect_tests_a_repeated_symbol_once(btc_store, tmp_path):
+    out = tmp_path / "catalog.jsonl"
+    assert run("detect", "--store", str(btc_store), "--out", str(out),
+               "--symbols", "BTC,BTC", "--to", "2021-01-01") == 0
+    assert [json.loads(line)["date"] for line in out.read_text().splitlines()] == [
+        "2021-01-01"]
+
+
+def test_detect_of_a_known_symbol_without_days_in_range_is_empty(btc_store, tmp_path,
+                                                                 caplog):
+    out = tmp_path / "catalog.jsonl"
+    assert run("detect", "--store", str(btc_store), "--out", str(out),
+               "--symbols", "BTC", "--from", "2021-02-01") == 0
+    assert out.read_text() == ""
+    assert json.loads(out.with_name("catalog.jsonl.manifest.json").read_text())["complete"]
+    assert "no stored days to detect" in caplog.text
+
+
 def test_verbose_detect_logs_the_calibration_source_per_day(tmp_path, caplog):
     store = small_store(tmp_path)
     caplog.set_level(logging.DEBUG, logger="hfjumps")

@@ -1,4 +1,4 @@
-"""Every demo script runs to completion."""
+"""Every demo script, and the README's Library example, runs to completion."""
 import os
 import subprocess
 import sys
@@ -18,3 +18,11 @@ def test_demo_runs(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(demo)], env=env, cwd=tmp_path,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_readme_library_example_runs(capsys):
+    section = (ROOT / "README.md").read_text().split("\n## Library\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md: Library", "exec"), {})
+    assert capsys.readouterr().out
