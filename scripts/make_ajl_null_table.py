@@ -29,7 +29,7 @@ from hfjumps.preprocess import DAY_SECONDS, FREQUENCIES  # noqa: E402
 TABLE = SRC / "hfjumps" / "data" / ajl.NULL_TABLE
 LENGTHS = tuple(sorted(DAY_SECONDS // f for f in FREQUENCIES))   # one day's grids, shortest first
 RATIOS = (0.0, *(10.0 ** (j / 4) for j in range(-12, 1)))
-K_N, P, G, H = 100, 4, "parabola", "triangle"
+K_N, P = 100, 4
 PATHS, BASE_SEED = 2_000, 0
 COLUMNS = "n,q_over_sigma,std,vh_nonpos_share\n"
 
@@ -40,15 +40,14 @@ def node(n: int, ratio: float) -> tuple[float, float]:
     All nodes of one length share a seed, so their paths share the
     diffusive draws and the std is smooth across the q/sigma nodes.
     """
-    seed = ajl._mc_seed(("null-table", n, K_N, P, G, H, PATHS, BASE_SEED))
-    s_rj, v_h = ajl.null_draws(n, K_N, P, ajl.get_weight(G), ajl.get_weight(H),
-                               ratio, PATHS, seed)
+    seed = ajl._mc_seed(("null-table", n, K_N, P, *ajl.WEIGHTS, PATHS, BASE_SEED))
+    s_rj, v_h = ajl.null_draws(n, K_N, P, ratio, PATHS, seed)
     return ajl.null_std(s_rj), float(np.mean(v_h <= 0))
 
 
 def render(body: str) -> str:
     header = {"table": "AJL S_RJ null std, written by scripts/make_ajl_null_table.py",
-              "k_n": K_N, "p": P, "weights": f"{G}/{H}", "paths": PATHS,
+              "k_n": K_N, "p": P, "weights": "/".join(ajl.WEIGHTS), "paths": PATHS,
               "base_seed": BASE_SEED, "sha256": ajl.table_digest(body)}
     return "".join(f"# {k}: {v}\n" for k, v in header.items()) + body
 

@@ -22,10 +22,10 @@ converges to 1 when jumps are present and to ``gamma'' = gamma^{p/2} /
 gamma' > 1 on continuous paths, so the test rejects the no-jump null
 when ``S_RJ < gamma'' - z_alpha * Delta_n^{1/4} * sqrt(Sigma_RJ)``.
 
-The pair is fixed: ``g(s) = s(1-s)`` (parabola) over ``h(s) = min(s, 1-s)``
-(triangle), the only ordering of the two whose gamma'' exceeds 1.  The
-constants are ratios of the weights' moments ``int_0^1 g^r ds``, which
-have closed forms, so each is exact up to its one rounding to float.
+The pair is a constant, and ``AjlParams`` refuses any other: ``g(s) = s(1-s)``
+(parabola) over ``h(s) = min(s, 1-s)`` (triangle), the only ordering of the
+two whose gamma'' exceeds 1.  The constants are ratios of the weights' moments
+``int_0^1 g^r ds``, in closed form, so each is exact up to one rounding to float.
 
 A closed-form plug-in for Sigma_RJ needs weight-pair moment functionals
 that lack a tractable expression, so ``sqrt(Sigma_RJ)`` is estimated
@@ -99,10 +99,11 @@ PARABOLA = WeightFunction("parabola", lambda s: s * (1.0 - s),
                           lambda r: Fraction(factorial(r) ** 2, factorial(2 * r + 1)))
 TRIANGLE = WeightFunction("triangle", lambda s: np.minimum(s, 1.0 - s),
                           lambda r: Fraction(1, 2 ** r * (r + 1)))
+WEIGHTS = (PARABOLA.name, TRIANGLE.name)     # as the table header, seeds and catalog name them
 
 
 def get_weight(name: str) -> WeightFunction:
-    """The built-in weight of that name, as the table and seed keys name it."""
+    """The built-in weight of that name; only the benchmark's tracer still asks."""
     return {w.name: w for w in (PARABOLA, TRIANGLE)}[name]
 
 
@@ -212,17 +213,12 @@ def vbar(returns: np.ndarray, w: WeightFunction, p: int = 4, k_n: int = 100,
     return float(_power_variations(d, (w,), p, k_n, rho)[0, 0])
 
 
-def ajl_constants(g: WeightFunction, h: WeightFunction, p: int = 4) -> tuple[float, float, float]:
-    """(gamma, gamma', gamma'') for a weight pair, each exact up to its one
-    rounding to float; gamma'' must exceed 1."""
-    gamma = g.exact_moment(2) / h.exact_moment(2)
-    gamma_prime = g.exact_moment(p) / h.exact_moment(p)
-    gamma_dprime = gamma ** (p // 2) / gamma_prime
-    if gamma_dprime <= 1:
-        raise ConfigError(
-            f"weight pair ({g.name}, {h.name}) gives gamma''={float(gamma_dprime):.4f} <= 1; "
-            "the rejection region is undefined for this pair")
-    return float(gamma), float(gamma_prime), float(gamma_dprime)
+def ajl_constants(p: int = 4) -> tuple[float, float, float]:
+    """(gamma, gamma', gamma'') of parabola over triangle, each exact up to
+    its one rounding to float; gamma'' exceeds 1 for every even p >= 4."""
+    gamma = PARABOLA.exact_moment(2) / TRIANGLE.exact_moment(2)
+    gamma_prime = PARABOLA.exact_moment(p) / TRIANGLE.exact_moment(p)
+    return float(gamma), float(gamma_prime), float(gamma ** (p // 2) / gamma_prime)
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +229,8 @@ def ajl_constants(g: WeightFunction, h: WeightFunction, p: int = 4) -> tuple[flo
 class AjlParams:
     p: int = 4
     k_n: int = 100
+    # only the defaults pass; g and h, get_weight and RunConfig.weight_names stay
+    # because the benchmark's tracer (perfbench/tracing.py) uses them
     g: WeightFunction = PARABOLA
     h: WeightFunction = TRIANGLE
     alpha: float = 0.999
@@ -251,8 +249,10 @@ class AjlParams:
             raise ConfigError("alpha must be in (0, 1)")
         if self.sigma_rj_paths < 8:
             raise ConfigError("sigma_rj_paths must be >= 8")
-        self.gamma, self.gamma_prime, self.gamma_dprime = \
-            ajl_constants(self.g, self.h, self.p)
+        if self.g is not PARABOLA or self.h is not TRIANGLE:
+            raise ConfigError(f"the AJL weight pair is {'/'.join(WEIGHTS)}, "
+                              f"not {self.g.name}/{self.h.name}")
+        self.gamma, self.gamma_prime, self.gamma_dprime = ajl_constants(self.p)
 
 
 @dataclass
@@ -291,8 +291,8 @@ def _mc_seed(key: tuple) -> int:
     return int.from_bytes(digest, "big")
 
 
-def null_draws(n_prices: int, k_n: int, p: int, g: WeightFunction, h: WeightFunction,
-               ratio: float, n_paths: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+def null_draws(n_prices: int, k_n: int, p: int, ratio: float, n_paths: int,
+               seed: int) -> tuple[np.ndarray, np.ndarray]:
     """S_RJ and Vbar(h) on each of ``n_paths`` continuous noisy null paths.
 
     Paths are simulated at sigma = 1 (daily) and noise q = ratio; an
@@ -300,7 +300,7 @@ def null_draws(n_prices: int, k_n: int, p: int, g: WeightFunction, h: WeightFunc
     draw from one generator in a fixed order, so a seed pins every path.
     """
     rho = solve_rho(p)
-    _, gamma_prime, _ = ajl_constants(g, h, p)
+    _, gamma_prime, _ = ajl_constants(p)
     rng = np.random.default_rng(seed)
     n_ret = n_prices - 1
     sig, q = (0.0, 1.0) if np.isinf(ratio) else (1.0, ratio)
@@ -314,7 +314,7 @@ def null_draws(n_prices: int, k_n: int, p: int, g: WeightFunction, h: WeightFunc
         d = rng.standard_normal((m, n_ret)) * (sig / sqrt(n_prices))
         if q > 0:
             d += np.diff(rng.standard_normal((m, n_prices)) * q, axis=1)
-        v_g, v_h[pos:pos + m] = _power_variations(d, (g, h), p, k_n, rho)
+        v_g, v_h[pos:pos + m] = _power_variations(d, (PARABOLA, TRIANGLE), p, k_n, rho)
         s_rj[pos:pos + m] = v_g / (gamma_prime * v_h[pos:pos + m])
         pos += m
     return s_rj, v_h
@@ -329,15 +329,14 @@ def null_std(s_rj: np.ndarray) -> float:
 
 
 @lru_cache(maxsize=128)
-def _null_srj_std(n_prices: int, k_n: int, p: int, g_name: str, h_name: str,
-                  ratio_key: str, n_paths: int, base_seed: int) -> tuple[float, int]:
+def _null_srj_std(n_prices: int, k_n: int, p: int, ratio_key: str, n_paths: int,
+                  base_seed: int) -> tuple[float, int]:
     """Monte-Carlo null std of S_RJ for days the table does not cover; memoized.
 
     Returns (std, seed actually used).
     """
-    seed = _mc_seed((n_prices, k_n, p, g_name, h_name, ratio_key, n_paths, base_seed))
-    s_rj, _ = null_draws(n_prices, k_n, p, get_weight(g_name), get_weight(h_name),
-                         float(ratio_key), n_paths, seed)
+    seed = _mc_seed((n_prices, k_n, p, *WEIGHTS, ratio_key, n_paths, base_seed))
+    s_rj, _ = null_draws(n_prices, k_n, p, float(ratio_key), n_paths, seed)
     return null_std(s_rj), seed
 
 
@@ -368,7 +367,7 @@ def table_digest(body: str) -> str:
 @dataclass(frozen=True)
 class NullTable:
     digest: str
-    # (n, k_n, p, g, h) -> (ascending q/sigma nodes, null std at each)
+    # (n, k_n, p) -> (ascending q/sigma nodes, null std at each)
     nodes: dict
 
 
@@ -380,8 +379,9 @@ def _null_table() -> NullTable:
     if digest != header.get("sha256"):
         raise RuntimeError(f"{NULL_TABLE}: body digest {digest} does not match "
                            f"its header; regenerate it with scripts/make_ajl_null_table.py")
-    g_name, h_name = header["weights"].split("/")
-    fixed = (int(header["k_n"]), int(header["p"]), g_name, h_name)
+    if header.get("weights") != "/".join(WEIGHTS):
+        raise RuntimeError(f"{NULL_TABLE}: simulated for weights {header.get('weights')}")
+    fixed = (int(header["k_n"]), int(header["p"]))
     rows: dict[int, list] = {}
     for row in csv.DictReader(body.splitlines()):
         rows.setdefault(int(row["n"]), []).append(
@@ -390,8 +390,7 @@ def _null_table() -> NullTable:
     return NullTable(digest, nodes)
 
 
-def _table_std(n_prices: int, k_n: int, p: int, g_name: str, h_name: str,
-               ratio_key: str) -> tuple[float, str] | None:
+def _table_std(n_prices: int, k_n: int, p: int, ratio_key: str) -> tuple[float, str] | None:
     """Null std of S_RJ interpolated from the table, or None if not covered.
 
     log(std) is linear in log(q/sigma) between nodes, and std linear in
@@ -399,7 +398,7 @@ def _table_std(n_prices: int, k_n: int, p: int, g_name: str, h_name: str,
     Keys "0" and "inf", and ratios above the last node, are not covered.
     Returns (std, a description of the nodes used).
     """
-    nodes = _null_table().nodes.get((n_prices, k_n, p, g_name, h_name))
+    nodes = _null_table().nodes.get((n_prices, k_n, p))
     if nodes is None or ratio_key in ("0", "inf"):
         return None
     ratios, stds = nodes
@@ -422,11 +421,11 @@ def _table_std(n_prices: int, k_n: int, p: int, g_name: str, h_name: str,
 
 def _calibrate(n_prices: int, params: AjlParams, ratio_key: str) -> tuple[float, int, str]:
     """(null std, seed, source) for a day: the table, else the Monte Carlo."""
-    key = (n_prices, params.k_n, params.p, params.g.name, params.h.name)
+    key = (n_prices, params.k_n, params.p)
     found = _table_std(*key, ratio_key)
     if found is not None:
         std, source = found
-        return std, _mc_seed(("table", _null_table().digest, *key, ratio_key)), source
+        return std, _mc_seed(("table", _null_table().digest, *key, *WEIGHTS, ratio_key)), source
     info = getattr(_null_srj_std, "cache_info", None)    # None for an unmemoized stand-in
     misses = info().misses if info else None
     std, seed = _null_srj_std(*key, ratio_key, params.sigma_rj_paths, params.base_seed)
@@ -496,7 +495,7 @@ def ajl_test(log_prices: np.ndarray, params: AjlParams,
         raise DayRejected("ajl_short", f"{n} observations < 2*k_n={2 * params.k_n}")
     d = np.diff(lp)
     rho = solve_rho(params.p)
-    v_g, v_h = _power_variations(d[None, :], (params.g, params.h),
+    v_g, v_h = _power_variations(d[None, :], (PARABOLA, TRIANGLE),
                                  params.p, params.k_n, rho)[:, 0]
     if v_h <= 0 or v_g <= 0:
         raise DayRejected("ajl_flat", "non-positive power variation (flat day)")

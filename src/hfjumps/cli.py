@@ -129,6 +129,11 @@ def _resolve_config(args) -> RunConfig:
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def _open_store(path: str):
     """The tick store at ``path``, which must exist: only ``ingest`` creates one."""
     from .tickstore import TickStore
@@ -148,9 +153,10 @@ def cmd_ingest(args) -> int:
     for path in args.csv:
         try:
             rep = store.ingest_csv(path, schema)
+        except (UnicodeDecodeError, csv.Error) as exc:     # no flag fixes the file's bytes
+            raise OSError(f"{path}: not a readable UTF-8 CSV: {exc}") from None
         except ValueError as exc:             # a column missing: a --col-* flag fixes it
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+            return _usage_error(str(exc))
         total_acc += rep.accepted
         total_rej += rep.rejected
         print(f"{path}: accepted={rep.accepted} rejected={rep.rejected}"
@@ -162,11 +168,20 @@ def cmd_ingest(args) -> int:
 def cmd_simulate(args) -> int:
     from .simulate import SimConfig, make_corpus
 
-    base = SimConfig(sigma=args.sigma, q=args.noise_q, n=args.ticks_per_day,
-                     seed=args.seed, jump_intensity=args.jumps,
-                     jump_fixed_size=args.jump_size,
-                     jump_spread_ticks=args.jump_spread)
+    try:
+        base = SimConfig(sigma=args.sigma, q=args.noise_q, n=args.ticks_per_day,
+                         seed=args.seed, jump_intensity=args.jumps,
+                         jump_fixed_size=args.jump_size,
+                         jump_spread_ticks=args.jump_spread)
+    except ValueError as exc:
+        return _usage_error(str(exc))
+    if args.days < 1:
+        return _usage_error(f"--days {args.days}: need at least one day")
     exchanges = tuple(x.strip() for x in args.exchanges.split(",") if x.strip())
+    if not exchanges or len(set(exchanges)) < len(exchanges):
+        # each exchange is one price column: a repeated one would overwrite another
+        return _usage_error(f"--exchanges {args.exchanges!r}: "
+                            + ("repeats an exchange" if exchanges else "names no exchange"))
     records = make_corpus(args.out, args.symbol, args.start_date, args.days,
                           base, exchanges, args.exchange_noise_q)
     truth_path = Path(args.out) / "truth.jsonl"
@@ -181,9 +196,7 @@ def cmd_detect(args) -> int:
     from . import pipeline
 
     if None not in (args.date_from, args.date_to) and args.date_from > args.date_to:
-        print(f"error: --from {args.date_from} is after --to {args.date_to}",
-              file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(f"--from {args.date_from} is after --to {args.date_to}")
     cfg = _resolve_config(args)
     store = _open_store(args.store)
     symbols = store.symbols()
@@ -194,10 +207,9 @@ def cmd_detect(args) -> int:
                                        if s.strip()))
         unknown = [s for s in requested if s not in symbols]
         if unknown or not requested:
-            print(f"error: --symbols {args.symbols!r}: "
-                  + (f"not in the store: {', '.join(unknown)}" if unknown
-                     else "names no symbol"), file=sys.stderr)
-            return EXIT_USAGE
+            return _usage_error(f"--symbols {args.symbols!r}: "
+                                + (f"not in the store: {', '.join(unknown)}" if unknown
+                                   else "names no symbol"))
         symbols = requested
     days = [d for d in sorted({d for s in symbols for d in store.days(s)})
             if (args.date_from is None or d >= args.date_from)

@@ -92,7 +92,7 @@ class RunConfig:
 
     def weight_names(self) -> tuple[str, str]:
         """The AJL weight pair (numerator, denominator); it is fixed."""
-        return ajl.PARABOLA.name, ajl.TRIANGLE.name
+        return ajl.WEIGHTS
 
     def ajl_params(self) -> ajl.AjlParams:
         return ajl.AjlParams(p=self.ajl_p, k_n=self.ajl_kn,

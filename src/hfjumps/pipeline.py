@@ -138,7 +138,7 @@ def detect_day(series: AggregatedSeries, cfg: RunConfig,
     }
     verdict.ajl = {
         "p": ajl_params.p, "k_n": ajl_params.k_n,
-        "weights": f"{ajl_params.g.name}/{ajl_params.h.name}",
+        "weights": "/".join(ajl.WEIGHTS),
         "s_rj": day_ajl.s_rj, "gamma_dprime": day_ajl.gamma_dprime,
         "sigma_rj": day_ajl.sigma_rj, "critical_value": day_ajl.critical_value,
         "reject_null": day_ajl.reject_null, "mc_seed": day_ajl.mc_seed,
@@ -266,14 +266,22 @@ def manifest_path(catalog_path) -> Path:
 
 
 def load_catalog(path) -> list[dict]:
-    """Read a verdict JSONL catalog back into dictionaries."""
+    """Read a verdict JSONL catalog back into dictionaries.
+
+    A line that is not a JSON object with a ``schema_version`` key, as
+    every verdict has, raises OSError: the file is not a catalog.
+    """
     out = []
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         for n, line in enumerate(fh, 1):
             line = line.strip()
             if line:
                 try:
-                    out.append(json.loads(line))
-                except json.JSONDecodeError as exc:
+                    rec = json.loads(line)
+                except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                     raise OSError(f"{path} line {n}: not a JSON record: {exc}") from None
+                if not isinstance(rec, dict) or "schema_version" not in rec:
+                    raise OSError(f"{path} line {n}: not a catalog record "
+                                  "(no schema_version)")
+                out.append(rec)
     return out

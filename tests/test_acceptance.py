@@ -62,7 +62,7 @@ def test_criterion_rho_solver():
 
 def test_criterion_weight_constants():
     t0 = time.time()
-    gamma, gamma_p, gamma_pp = ajl_constants(PARABOLA, TRIANGLE, 4)
+    gamma, gamma_p, gamma_pp = ajl_constants(4)
     # oracle: exact Beta integrals 1/30, 1/12, 1/630, 1/80
     g_ok = abs(gamma - (1 / 30) / (1 / 12)) < 1e-6
     gp_ok = abs(gamma_p - (1 / 630) / (1 / 80)) < 1e-6

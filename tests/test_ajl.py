@@ -85,21 +85,10 @@ def test_weight_moments_match_beta_integrals_to_rounding():
 
 
 def test_ajl_constants_default_pair():
-    gamma, gamma_p, gamma_pp = ajl_constants(PARABOLA, TRIANGLE, 4)
+    gamma, gamma_p, gamma_pp = ajl_constants(4)
     assert gamma == pytest.approx(0.4, abs=1e-6)
     assert gamma_p == pytest.approx(8 / 63, abs=1e-6)
     assert gamma_pp == pytest.approx(1.26, abs=1e-6)
-
-
-def test_ajl_constants_identical_weights_rejected():
-    with pytest.raises(ConfigError):
-        ajl_constants(PARABOLA, PARABOLA, 4)
-
-
-def test_ajl_constants_swapped_pair_rejected():
-    # triangle over parabola gives gamma'' = 2.5^2 / 7.875 ~ 0.794 < 1
-    with pytest.raises(ConfigError, match="triangle"):
-        ajl_constants(TRIANGLE, PARABOLA, 4)
 
 
 def exact_moments(r):
@@ -115,7 +104,7 @@ def test_ajl_constants_match_exact_fractions(p):
     (g2, h2), (gp, hp) = exact_moments(2), exact_moments(p)
     gamma, gamma_p = g2 / h2, gp / hp
     want = (gamma, gamma_p, gamma ** (p // 2) / gamma_p)
-    for got, exact in zip(ajl_constants(PARABOLA, TRIANGLE, p), want):
+    for got, exact in zip(ajl_constants(p), want):
         assert abs(got - exact) <= Fraction(1, 10 ** 15) * exact
 
 
@@ -292,7 +281,7 @@ def test_ajl_test_z_matches_scipy_norm_ppf(monkeypatch):
 
 REPO = Path(__file__).resolve().parents[1]
 TABLE_SCRIPT = REPO / "scripts" / "make_ajl_null_table.py"
-DEFAULT_KEY = (100, 4, "parabola", "triangle")
+DEFAULT_KEY = (100, 4)
 
 
 def table_rows():
@@ -365,10 +354,10 @@ def test_uncovered_days_go_to_the_monte_carlo(monkeypatch, n, k_n, key):
 
     monkeypatch.setattr(ajl_module, "_null_srj_std", fake)
     params = AjlParams(k_n=k_n, sigma_rj_paths=40, base_seed=3)
-    assert ajl_module._table_std(n, k_n, 4, "parabola", "triangle", key) is None
+    assert ajl_module._table_std(n, k_n, 4, key) is None
     std, seed, source = ajl_module._calibrate(n, params, key)
     assert (std, seed) == (0.5, 7)
-    assert calls == [(n, k_n, 4, "parabola", "triangle", key, 40, 3)]
+    assert calls == [(n, k_n, 4, key, 40, 3)]
     assert source == f"monte carlo key {key} miss"
 
 
@@ -381,7 +370,7 @@ def test_covered_day_seed_names_the_table_and_node(monkeypatch):
     ratio_key = ajl_module._quantize_ratio(ajl_module.plugin_noise_ratio(noisy_path(6)))
     digest = ajl_module._null_table().digest
     assert res.mc_seed == ajl_module._mc_seed(
-        ("table", digest, 17_280, *DEFAULT_KEY, ratio_key))
+        ("table", digest, 17_280, *DEFAULT_KEY, "parabola", "triangle", ratio_key))
     assert res.calibration.startswith("table n=17280 nodes ")
     # the std, and so the critical value, does not depend on the fallback's knobs
     other = ajl_test(noisy_path(6), AjlParams(sigma_rj_paths=50, base_seed=5))
@@ -429,6 +418,52 @@ def test_ajl_params_validation():
         AjlParams(alpha=1.5)
     with pytest.raises(ConfigError):
         AjlParams(g=TRIANGLE, h=PARABOLA)   # gamma'' < 1
+
+
+PARABOLA2 = ajl_module.WeightFunction("parabola2", lambda s: 2 * s * (1 - s),
+                                      lambda r: 2 ** r * PARABOLA.exact_moment(r))
+OTHER_PARABOLA = ajl_module.WeightFunction("parabola", lambda s: 2 * s * (1 - s),
+                                           PARABOLA2.exact_moment)
+
+
+@pytest.mark.parametrize("g, h", [
+    (TRIANGLE, PARABOLA),         # gamma'' = 2.5^2 / 7.875 ~ 0.794 < 1
+    (PARABOLA, PARABOLA),         # gamma'' = 1
+    (PARABOLA2, TRIANGLE),        # gamma'' = 1.26, but neither table nor seeds are for it
+    (OTHER_PARABOLA, TRIANGLE),   # the same, under the table's name
+], ids=["swapped", "identical", "new name", "same name"])
+def test_ajl_params_refuse_any_other_pair(g, h):
+    with pytest.raises(ConfigError, match=f"weight pair is parabola/triangle, not {g.name}/"):
+        AjlParams(g=g, h=h)
+
+
+def test_the_default_pair_constructs_by_every_route():
+    from hfjumps.config import RunConfig
+
+    cfg = RunConfig()
+    assert cfg.weight_names() == ajl_module.WEIGHTS == ("parabola", "triangle")
+    built = AjlParams(p=cfg.ajl_p, k_n=cfg.ajl_kn, g=ajl_module.get_weight("parabola"),
+                      h=ajl_module.get_weight("triangle"), alpha=cfg.alpha,
+                      sigma_rj_paths=cfg.sigma_rj_paths, base_seed=cfg.seed)
+    assert built == AjlParams() == cfg.ajl_params()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda text: text.replace("# weights: parabola/triangle", "# weights: triangle/parabola"),
+     "simulated for weights triangle/parabola"),
+    (lambda text: text.replace("\n5760,0.01,0.", "\n5760,0.01,1.", 1), "body digest")])
+def test_a_table_of_another_pair_or_an_edited_body_is_refused(monkeypatch, tmp_path,
+                                                              edit, message):
+    text = (REPO / "src" / "hfjumps" / "data" / ajl_module.NULL_TABLE).read_text()
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / ajl_module.NULL_TABLE).write_text(edit(text))
+    monkeypatch.setattr(ajl_module.resources, "files", lambda package: tmp_path)
+    ajl_module._null_table.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match=message):
+            ajl_module._null_table()
+    finally:
+        ajl_module._null_table.cache_clear()
 
 
 # ---------------------------------------------------------------------------

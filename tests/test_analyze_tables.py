@@ -14,13 +14,14 @@ import numpy as np
 
 from hfjumps.cli import main
 from hfjumps.config import RunConfig
+from hfjumps.pipeline import SCHEMA_VERSION
 
 EXPECTED = Path(__file__).parent / "data" / "analyze_tables"
 START = date(2021, 1, 4)       # a Monday
 N_DAYS = 5
 TICKS_PER_DAY = 400
 # what detect writes beside each verdict at the default config
-PROVENANCE = {"config_hash": RunConfig().hash(),
+PROVENANCE = {"schema_version": SCHEMA_VERSION, "config_hash": RunConfig().hash(),
               "filter": {"sd_cutoff": RunConfig().sd_cutoff,
                          "reversal": RunConfig().bounceback_reversal}}
 

@@ -1,17 +1,21 @@
 """Command line: subcommands, exit codes, artifact determinism."""
 import argparse
 import csv
+import hashlib
 import json
 import logging
 import os
 import subprocess
 import sys
+from datetime import date
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hfjumps.cli import BLAS_THREAD_VARS, _resolve_config, build_parser, main
 from hfjumps.config import RunConfig
+from hfjumps.tickstore import TickStore
 from test_analyze_tables import EXPECTED as PINNED_TABLES, build_inputs
 
 
@@ -145,6 +149,46 @@ def test_ingest_rejects_a_nul_in_a_symbol_and_keeps_the_file(tmp_path, capsys):
     assert [p.name for p in (tmp_path / "s" / "ticks").iterdir()] == ["BTC"]
 
 
+@pytest.mark.parametrize("body, message", [
+    (b"time,exchange,symbol,price\n1614556800000000000,Bitst\xe9mp,BTC,100.0\n",
+     "can't decode byte 0xe9"),
+    (b'time,exchange,symbol,price\n1614556800000000000,"' + b"x" * 131_073
+     + b'",BTC,100.0\n', "field larger than field limit"),
+], ids=["not utf-8", "oversized cell"])
+def test_ingest_of_an_unreadable_file_is_an_io_error_naming_it(tmp_path, capsys, body,
+                                                                message):
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    good.write_text("time,exchange,symbol,price\n1614556800000000000,A,BTC,100.0\n")
+    bad.write_bytes(body)
+    store = tmp_path / "s"
+    assert run("ingest", "--store", str(store), "--csv", str(good), str(bad)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"i/o error: {bad}: not a readable UTF-8 CSV: ") and message in err
+    digest = hashlib.sha256(good.read_bytes()).hexdigest()
+    assert [p.name for p in (store / "sources").iterdir()] == [f"{digest}.json"]
+
+
+def test_ingest_column_flags_map_renamed_headers(tmp_path):
+    rows = [("1614556800000000000", "A", "BTC", "100.0"),
+            ("1614556801000000000", "B", "BTC", "101.5"),
+            ("1614556801000000000", "A", "BTC", "101.0")]
+    default, renamed = tmp_path / "default.csv", tmp_path / "renamed.csv"
+    default.write_text("time,exchange,symbol,price\n"
+                       + "".join(",".join(r) + "\n" for r in rows))
+    # renamed and reordered: price, time, symbol, exchange
+    renamed.write_text("px,ts,pair,venue\n"
+                       + "".join(",".join((r[3], r[0], r[2], r[1])) + "\n" for r in rows))
+    assert run("ingest", "--store", str(tmp_path / "a"), "--csv", str(default)) == 0
+    assert run("ingest", "--store", str(tmp_path / "b"), "--csv", str(renamed),
+               "--col-time", "ts", "--col-exchange", "venue", "--col-symbol", "pair",
+               "--col-price", "px") == 0
+    day = date(2021, 3, 1)
+    want, got = (TickStore(tmp_path / s).slice("BTC", day) for s in ("a", "b"))
+    assert len(want) == 3
+    for name in ("timestamps_ns", "exchanges", "prices"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
 def test_detect_on_old_csv_store_exit_2(tmp_path, capsys):
     store = tmp_path / "store"
     (store / "ticks" / "BTC").mkdir(parents=True)
@@ -165,6 +209,23 @@ def test_simulate_deterministic_bytes(tmp_path):
     assert files1 == files2 and len(files1) == 3      # 2 days + truth.jsonl
     for name in files1:
         assert (o1 / name).read_bytes() == (o2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--ticks-per-day", "1"), "need sigma >= 0, q >= 0, n >= 2"),
+    (("--sigma", "-1"), "need sigma >= 0, q >= 0, n >= 2"),
+    (("--jump-spread", "0"), "jump_spread_ticks must be >= 1"),
+    (("--days", "-2"), "--days -2: need at least one day"),
+    (("--exchanges", ","), "--exchanges ',': names no exchange"),
+    (("--exchanges", "A,A"), "--exchanges 'A,A': repeats an exchange"),
+], ids=["ticks-per-day 1", "sigma -1", "jump-spread 0", "days -2", "no exchange",
+        "repeated exchange"])
+def test_simulate_refuses_bad_flags_and_writes_nothing(tmp_path, capsys, flags, message):
+    out = tmp_path / "corpus"
+    assert run("simulate", "--out", str(out), "--days", "1", "--ticks-per-day", "600",
+               *flags) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_detect_on_empty_store_exit_0(tmp_path):
@@ -437,6 +498,29 @@ def test_truncated_catalog_line_is_an_io_error(spiked, tmp_path, capsys):
                  ("report", "--out", str(tmp_path / "r"))):
         assert run(argv[0], "--catalog", str(catalog), *argv[1:]) == 2
         assert capsys.readouterr().err.startswith(f"i/o error: {catalog} line 3: ")
+
+
+NO_VERSION = "not a catalog record (no schema_version)"
+
+
+@pytest.mark.parametrize("case", ["truth file", "a list", "a string", "no schema_version",
+                                  "not utf-8"])
+def test_a_file_that_is_not_a_catalog_is_an_io_error(spiked, tmp_path, capsys, case):
+    records = (spiked / "catalog.jsonl").read_bytes()
+    text, line, message = {
+        "truth file": ((spiked / "corpus" / "truth.jsonl").read_bytes(), 1, NO_VERSION),
+        "a list": (b"[1, 2]\n", 1, NO_VERSION),
+        "a string": (b'"x"\n', 1, NO_VERSION),
+        "no schema_version": (records + b'{"symbol": "BTC"}\n', 3, NO_VERSION),
+        "not utf-8": (records + b'{"symbol": "Bitst\xe9mp"}\n', 3, "not a JSON record: "),
+    }[case]
+    catalog = tmp_path / "catalog.jsonl"
+    catalog.write_bytes(text)
+    for argv in (("analyze", "--store", str(spiked / "store"), "--out", str(tmp_path / "t")),
+                 ("report", "--out", str(tmp_path / "r"))):
+        assert run(argv[0], "--catalog", str(catalog), *argv[1:]) == 2
+        assert capsys.readouterr().err.startswith(f"i/o error: {catalog} line {line}: {message}")
+    assert [p.name for p in tmp_path.iterdir()] == ["catalog.jsonl"]
 
 
 @pytest.mark.parametrize("events, message", [

@@ -1,5 +1,7 @@
-"""Every demo script, and the README's Library example, runs to completion."""
+"""Every demo script, and the README's Library and Command line examples, run to completion."""
+import glob
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -26,3 +28,23 @@ def test_readme_library_example_runs(capsys):
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(code, "README.md: Library", "exec"), {})
     assert capsys.readouterr().out
+
+
+def test_readme_command_line_walkthrough_runs(tmp_path, monkeypatch, capsys):
+    from hfjumps.cli import main
+
+    section = (ROOT / "README.md").read_text().split("\n## Command line\n", 1)[1]
+    script = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in script.splitlines()
+                if line and not line.startswith("#")]
+    assert [c[:2] for c in commands] == [["hfjumps", name] for name in
+                                         ("simulate", "ingest", "detect", "analyze", "report")]
+    monkeypatch.chdir(tmp_path)
+    for command in commands:
+        argv = []
+        for word in command[1:]:          # the shell's glob expansion
+            matches = sorted(glob.glob(word)) if glob.escape(word) != word else [word]
+            assert matches, word
+            argv += matches
+        assert main(argv) == 0, command
+    assert (tmp_path / "report" / "timeline.csv").exists()
