@@ -17,8 +17,8 @@ from datetime import date
 
 import numpy as np
 
+from .catalog import DAY_NS
 from .errors import HfJumpsError, NoVariationError
-from .tickstore import DAY_NS
 
 log = logging.getLogger(__name__)
 

@@ -23,6 +23,8 @@ from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+# every command uses the catalog module, which loads no numpy
+from .catalog import SCHEMA_VERSION, load_catalog, manifest_path, parse_iso_ns, utc_date
 from .errors import ConfigError
 
 if TYPE_CHECKING:
@@ -177,6 +179,8 @@ def cmd_simulate(args) -> int:
         return _usage_error(str(exc))
     if args.days < 1:
         return _usage_error(f"--days {args.days}: need at least one day")
+    if not (args.exchange_noise_q >= 0):
+        return _usage_error(f"--exchange-noise-q {args.exchange_noise_q}: need >= 0")
     exchanges = tuple(x.strip() for x in args.exchanges.split(",") if x.strip())
     if not exchanges or len(set(exchanges)) < len(exchanges):
         # each exchange is one price column: a repeated one would overwrite another
@@ -228,7 +232,7 @@ def cmd_analyze(args) -> int:
     from . import analytics, pipeline
 
     store = _open_store(args.store)
-    records = pipeline.load_catalog(args.catalog)
+    records = load_catalog(args.catalog)
     hf_returns = pipeline.tested_returns(store, records)
     tables, dropped = analytics.build_tables(records, hf_returns)
     out = Path(args.out)
@@ -238,7 +242,7 @@ def cmd_analyze(args) -> int:
     if dropped:
         (out / "panel_dropped.log").write_text("\n".join(dropped) + "\n")
     meta = {"config_hashes": sorted({rec["config_hash"] for rec in records}),
-            "n_records": len(records), "schema_version": pipeline.SCHEMA_VERSION}
+            "n_records": len(records), "schema_version": SCHEMA_VERSION}
     (out / "tables_manifest.json").write_text(json.dumps(meta, indent=1, sort_keys=True))
     print(f"tables written to {out}")
     return EXIT_OK
@@ -253,8 +257,6 @@ def _write_table(out: Path, table: Table) -> None:
 
 
 def _load_events(path: str | None) -> list[tuple[int, str]]:
-    from .tickstore import parse_iso_ns
-
     source = Path(path) if path else resources.files("hfjumps") / "data" / "events_sample.csv"
     reader = csv.DictReader(source.read_text().splitlines(), restval="")
     missing = {"utc_instant", "label"} - set(reader.fieldnames or ())
@@ -270,34 +272,28 @@ def _load_events(path: str | None) -> list[tuple[int, str]]:
 
 
 def cmd_report(args) -> int:
-    from . import pipeline
-    from .tickstore import utc_date
+    # every input is read before --out is created: a bad one leaves nothing behind
+    records = load_catalog(args.catalog)
+    tables = sorted(f for f in Path(args.tables).iterdir() if f.is_file()) if args.tables else []
+    events = _load_events(args.events)
 
-    records = pipeline.load_catalog(args.catalog)
+    # timeline: each date's jump count over all symbols, with its event labels
+    per_day: dict[str, int] = {}
+    for rec in records:
+        per_day[rec["date"]] = per_day.get(rec["date"], 0) + len(rec.get("accepted_jumps") or [])
+    event_days: dict[str, list[str]] = {}
+    for ts, label in events:
+        event_days.setdefault(utc_date(ts).isoformat(), []).append(label)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     shutil.copyfile(args.catalog, out / "catalog.jsonl")
-    manifest = pipeline.manifest_path(args.catalog)
+    manifest = manifest_path(args.catalog)
     if manifest.exists():
-        shutil.copyfile(manifest, pipeline.manifest_path(out / "catalog.jsonl"))
+        shutil.copyfile(manifest, manifest_path(out / "catalog.jsonl"))
     if args.tables:
-        tdir = out / "tables"
-        tdir.mkdir(exist_ok=True)
-        for f in sorted(Path(args.tables).iterdir()):
-            if f.is_file():
-                shutil.copyfile(f, tdir / f.name)
-    events = _load_events(args.events)
-
-    # timeline: each date's jump count, summed over symbols, with that
-    # date's event labels inline
-    per_day: dict[str, int] = {}
-    for rec in records:
-        key = rec["date"]
-        per_day[key] = per_day.get(key, 0) + len(rec.get("accepted_jumps") or [])
-    event_days = {}
-    for ts, label in events:
-        day = utc_date(ts).isoformat()
-        event_days.setdefault(day, []).append(label)
+        (out / "tables").mkdir(exist_ok=True)
+        for f in tables:
+            shutil.copyfile(f, out / "tables" / f.name)
     with open(out / "timeline.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["date", "n_jumps", "event"])

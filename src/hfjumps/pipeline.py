@@ -1,4 +1,4 @@
-"""Per-symbol-day orchestration and the jump catalog.
+"""Per-symbol-day orchestration: tick store to jump catalog.
 
 The moment-level test runs on the (irregular) aggregated tick series,
 the day-level ratio test on the equispaced grid, and a moment-level
@@ -8,67 +8,24 @@ same inputs, config, and seeds are byte-identical.
 """
 from __future__ import annotations
 
-import json
 import logging
-from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+# load_catalog is not used here: the benchmark imports it from this module
+from .catalog import DayVerdict, load_catalog, write_manifest
 from .errors import DayRejected
-from .preprocess import (AggregatedSeries, RemovalRecord, aggregate_cross_exchange,
-                         filter_returns, make_equispaced, select_frequency)
+from .preprocess import (AggregatedSeries, aggregate_cross_exchange, filter_returns,
+                         make_equispaced, select_frequency)
 from .tickstore import TickStore
 
 if TYPE_CHECKING:
     from .config import RunConfig
 
 log = logging.getLogger(__name__)
-
-SCHEMA_VERSION = 3
-
-
-@dataclass
-class DayVerdict:
-    symbol: str
-    utc_date: date
-    tested: bool
-    reason: str = ""
-    frequency_s: int | None = None
-    lm_jump_count_raw: int = 0
-    accepted_jumps: list[dict] = field(default_factory=list)
-    lm: dict | None = None
-    ajl: dict | None = None
-    n_points: int = 0
-    n_removed: int = 0
-    close_log_price: float | None = None
-    filter: dict | None = None          # filter_returns' keyword arguments
-    removals: list[RemovalRecord] = field(default_factory=list)
-    config_hash: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "config_hash": self.config_hash,
-            "symbol": self.symbol,
-            "date": self.utc_date.isoformat(),
-            "tested": self.tested,
-            "reason": self.reason,
-            "frequency_s": self.frequency_s,
-            "n_points": self.n_points,
-            "n_removed": self.n_removed,
-            "close_log_price": self.close_log_price,
-            "filter": self.filter,
-            "lm_jump_count_raw": self.lm_jump_count_raw,
-            "lm": self.lm,
-            "ajl": self.ajl,
-            "accepted_jumps": self.accepted_jumps,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def detect_day(series: AggregatedSeries, cfg: RunConfig,
@@ -78,8 +35,8 @@ def detect_day(series: AggregatedSeries, cfg: RunConfig,
     preprocess -> moment scan + dedup -> day-level test -> combination.
     Any stage rejection yields an untested verdict naming the stage.
     """
-    # imported on first use: analyze and report read the catalog and the
-    # store, and need neither test
+    # imported on first use: analyze reads the catalog and the store, and
+    # needs neither test
     from . import ajl, lee_mykland as lm
 
     verdict = DayVerdict(symbol=series.symbol, utc_date=series.utc_date,
@@ -170,16 +127,14 @@ def tested_returns(store: TickStore,
     for rec in records:
         if not rec.get("tested"):
             continue
-        day = f"{rec['symbol']} {rec['date']}"
         if not rec.get("filter"):
-            raise OSError(f"{day}: the catalog record names no filter settings "
-                          f"(schema {rec.get('schema_version')}); rerun detect")
+            raise OSError(f"{rec['symbol']} {rec['date']}: the record names no filter settings")
         series = load_day(store, rec["symbol"], date.fromisoformat(rec["date"]))
         filtered, _ = filter_returns(series, **rec["filter"])
         if len(filtered) != rec["n_points"]:
-            raise OSError(f"{day}: the store gives {len(filtered)} filtered points, "
-                          f"the catalog records {rec['n_points']}; the store lacks "
-                          "the day or changed after detect")
+            raise OSError(f"{rec['symbol']} {rec['date']}: the store gives "
+                          f"{len(filtered)} filtered points, the catalog records "
+                          f"{rec['n_points']}; the store lacks the day or changed after detect")
         if len(filtered) >= 2:
             out.setdefault(rec["symbol"], []).append(np.diff(filtered.log_prices))
     return out
@@ -236,7 +191,7 @@ def run_range(store: TickStore, symbols: list[str], dates: list[date],
     finally:
         if sink:
             sink.close()
-            _write_manifest(catalog_path, cfg, len(verdicts), total)
+            write_manifest(catalog_path, cfg, len(verdicts), total)
     return verdicts
 
 
@@ -250,38 +205,3 @@ def _write_removal_log(dir_path, verdict: DayVerdict) -> None:
         w.writerow(["timestamp_ns", "rule", "value"])
         for r in verdict.removals:
             w.writerow([r.timestamp_ns, r.rule, repr(r.value)])
-
-
-def _write_manifest(catalog_path, cfg: RunConfig, completed: int, total: int) -> None:
-    manifest = {"schema_version": SCHEMA_VERSION, "config": cfg.to_dict(),
-                "config_hash": cfg.hash(), "completed_days": completed,
-                "total_days": total, "complete": completed == total}
-    manifest_path(catalog_path).write_text(json.dumps(manifest, indent=1, sort_keys=True))
-
-
-def manifest_path(catalog_path) -> Path:
-    """The completion manifest beside a catalog: ``<catalog>.manifest.json``."""
-    p = Path(catalog_path)
-    return p.with_name(p.name + ".manifest.json")
-
-
-def load_catalog(path) -> list[dict]:
-    """Read a verdict JSONL catalog back into dictionaries.
-
-    A line that is not a JSON object with a ``schema_version`` key, as
-    every verdict has, raises OSError: the file is not a catalog.
-    """
-    out = []
-    with open(path, "rb") as fh:
-        for n, line in enumerate(fh, 1):
-            line = line.strip()
-            if line:
-                try:
-                    rec = json.loads(line)
-                except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                    raise OSError(f"{path} line {n}: not a JSON record: {exc}") from None
-                if not isinstance(rec, dict) or "schema_version" not in rec:
-                    raise OSError(f"{path} line {n}: not a catalog record "
-                                  "(no schema_version)")
-                out.append(rec)
-    return out

@@ -17,7 +17,8 @@ from datetime import date
 
 import numpy as np
 
-from .tickstore import SymbolDaySlice, day_start_ns
+from .catalog import day_start_ns
+from .tickstore import SymbolDaySlice
 
 log = logging.getLogger(__name__)
 

@@ -11,13 +11,14 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, replace
-from datetime import date, datetime, timezone
+from datetime import date
 from math import sqrt
 from pathlib import Path
 
 import numpy as np
 
-DAY_NS = 86_400 * 10 ** 9
+from .catalog import DAY_NS, day_start_ns
+
 BLOCK_TICKS = 2_048   # ticks formatted per write; larger blocks hold more text in memory
 
 
@@ -36,8 +37,12 @@ class SimConfig:
     noise: str = "gaussian"      # "gaussian" | "two_point"
 
     def __post_init__(self):
-        if self.sigma < 0 or self.q < 0 or self.n < 2:
+        # not (x >= 0) refuses NaN too
+        if not (self.sigma >= 0 and self.q >= 0 and self.n >= 2):
             raise ValueError("need sigma >= 0, q >= 0, n >= 2")
+        for name in ("jump_intensity", "seed"):
+            if not (getattr(self, name) >= 0):
+                raise ValueError(f"{name} must be >= 0")
         if self.jump_times is not None:
             if any(not 0 <= t < 1 for t in self.jump_times):
                 raise ValueError("jump times must lie in [0, 1)")
@@ -122,10 +127,7 @@ def day_seeds(master_seed: int, n_days: int) -> list[int]:
 
 
 def tick_timestamps_ns(utc_date: date, n: int) -> np.ndarray:
-    start = int(datetime(utc_date.year, utc_date.month, utc_date.day,
-                         tzinfo=timezone.utc).timestamp()) * 10 ** 9
-    step = DAY_NS // n
-    return start + step * np.arange(n, dtype=np.int64)
+    return day_start_ns(utc_date) + DAY_NS // n * np.arange(n, dtype=np.int64)
 
 
 def write_tick_csv(sim: SimDay, path: str | Path, symbol: str, utc_date: date,

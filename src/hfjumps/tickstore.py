@@ -39,57 +39,18 @@ import io
 import json
 import logging
 import os
-import re
 from dataclasses import dataclass, field
-from datetime import date, datetime, timezone
+from datetime import date
 from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
+from .catalog import DAY_NS, EPOCH_ORDINAL, parse_epoch_ns, parse_iso_ns, utc_date
+
 log = logging.getLogger(__name__)
 
-DAY_NS = 86_400 * 10 ** 9
 CHUNK_ROWS = 2048         # records parsed per bulk step; bounds the parse's memory
-
-# ASCII digits only: int() also reads other scripts' digits
-_ISO_RE = re.compile(
-    r"^(\d{4})-(\d{2})-(\d{2})[T ](\d{2}):(\d{2}):(\d{2})"
-    r"(?:\.(\d+))?"
-    r"(Z|z|[+-]\d{2}:?\d{2})?$", re.ASCII
-)
-_EPOCH_RE = re.compile(r"^\d{10,19}$", re.ASCII)
-
-
-def parse_iso_ns(text: str) -> int:
-    """Parse an ISO-8601 UTC timestamp to epoch nanoseconds.
-
-    Fractional digits beyond nanosecond precision are truncated, not
-    rounded, so re-ingesting a file can never shift a tick across a
-    bin or day boundary.
-    """
-    m = _ISO_RE.match(text.strip())
-    if not m:
-        raise ValueError(f"unparseable timestamp {text!r}")
-    y, mo, d, hh, mm, ss = (int(m.group(i)) for i in range(1, 7))
-    frac = m.group(7) or ""
-    offset = m.group(8)
-    ns = int(frac[:9].ljust(9, "0")) if frac else 0
-    dt = datetime(y, mo, d, hh, mm, ss, tzinfo=timezone.utc)
-    epoch_s = int(dt.timestamp())
-    if offset and offset not in ("Z", "z"):
-        sign = 1 if offset[0] == "+" else -1
-        off = offset[1:].replace(":", "")
-        epoch_s -= sign * (int(off[:2]) * 3600 + int(off[2:]) * 60)
-    return epoch_s * 10 ** 9 + ns
-
-
-def parse_epoch_ns(text: str) -> int:
-    t = text.strip()
-    if not _EPOCH_RE.match(t):
-        raise ValueError(f"not an epoch-ns timestamp: {text!r}")
-    return int(t)
-
 
 # the bulk parse reads a chunk's cells as fixed-width bytes, as wide as the
 # longest cell; a cell longer than this is cut, and read whole where it is used
@@ -210,7 +171,7 @@ def _iso_seconds(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
           & (day <= _MONTH_DAYS[m] + (leap & (m == 2))) & (hh < 24) & (mm < 60) & (ss < 60))
     y = year - 1
     days = (y * 365 + y // 4 - y // 100 + y // 400 + _DAYS_BEFORE_MONTH[m] + (leap & (m > 2))
-            + day - _EPOCH_ORDINAL)
+            + day - EPOCH_ORDINAL)
     return days * 86_400 + hh * 3600 + mm * 60 + ss, ok
 
 
@@ -313,19 +274,6 @@ class IngestReport:
     reject_log: list[tuple[int, str]] = field(default_factory=list)
     rejected_by_reason: dict[str, int] = field(default_factory=dict)
     already_ingested: bool = False
-
-
-_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
-
-
-def utc_date(ts_ns: int) -> date:
-    """UTC calendar day of an epoch-ns timestamp, in exact integer arithmetic."""
-    return date.fromordinal(_EPOCH_ORDINAL + ts_ns // DAY_NS)
-
-
-def day_start_ns(day: date) -> int:
-    """Epoch-ns of a UTC day's midnight, the inverse of ``utc_date``."""
-    return (day.toordinal() - _EPOCH_ORDINAL) * DAY_NS
 
 
 # a rejected row's reason by code; the lower code wins when several apply
@@ -453,13 +401,17 @@ def _chunks(fh, fields: tuple[str, ...], path: Path):
             return
     fh.seek(offset)
     encoding = "utf-8" if offset else "utf-8-sig"     # a BOM only leads the file
-    reader = csv.reader(io.TextIOWrapper(fh, encoding=encoding, newline=""))
-    if not line:
-        header = next(reader, None) or []
-        columns = _field_columns(header, fields, path)
-    for rows, lines in _records(reader, size):
-        cols = _columns(rows, len(header))
-        yield [_Cells.of(cols[c]) for c in columns], line + np.array(lines)
+    text = io.TextIOWrapper(fh, encoding=encoding, newline="")
+    try:
+        reader = csv.reader(text)
+        if not line:
+            header = next(reader, None) or []
+            columns = _field_columns(header, fields, path)
+        for rows, lines in _records(reader, size):
+            cols = _columns(rows, len(header))
+            yield [_Cells.of(cols[c]) for c in columns], line + np.array(lines)
+    finally:
+        text.detach()       # fh is the caller's to close
 
 
 def _pair_codes(sym: _Cells, exch: _Cells, code_of) -> np.ndarray:

@@ -14,8 +14,8 @@ from hfjumps.analytics import (PanelRow, _t_two_sided_p, build_panel, build_tabl
                                render_regression_table, render_summary_table,
                                seasonality, significance_stars,
                                summarize_returns)
+from hfjumps.catalog import parse_iso_ns
 from hfjumps.errors import NoVariationError
-from hfjumps.tickstore import parse_iso_ns
 
 
 # ---------------------------------------------------------------------------

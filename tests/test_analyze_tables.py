@@ -12,9 +12,9 @@ from pathlib import Path
 
 import numpy as np
 
+from hfjumps.catalog import SCHEMA_VERSION
 from hfjumps.cli import main
 from hfjumps.config import RunConfig
-from hfjumps.pipeline import SCHEMA_VERSION
 
 EXPECTED = Path(__file__).parent / "data" / "analyze_tables"
 START = date(2021, 1, 4)       # a Monday
@@ -105,5 +105,5 @@ def test_pinned_fixture_populates_every_table():
         assert column in reg
     assert (EXPECTED / "jump_size_summary.csv").exists()
     assert (EXPECTED / "panel_dropped.log").read_text().count("\n") == 2
-    hf = list(csv.reader((EXPECTED / "returns_hf_summary.csv").open()))
+    hf = list(csv.reader((EXPECTED / "returns_hf_summary.csv").read_text().splitlines()))
     assert [r[0] for r in hf[1:]] == ["BTC", "ETH"]

@@ -214,12 +214,20 @@ def test_simulate_deterministic_bytes(tmp_path):
 @pytest.mark.parametrize("flags, message", [
     (("--ticks-per-day", "1"), "need sigma >= 0, q >= 0, n >= 2"),
     (("--sigma", "-1"), "need sigma >= 0, q >= 0, n >= 2"),
+    (("--sigma", "nan"), "need sigma >= 0, q >= 0, n >= 2"),
+    (("--noise-q", "nan"), "need sigma >= 0, q >= 0, n >= 2"),
+    (("--jumps", "-1"), "jump_intensity must be >= 0"),
+    (("--jumps", "nan"), "jump_intensity must be >= 0"),
+    (("--seed", "-1"), "seed must be >= 0"),
     (("--jump-spread", "0"), "jump_spread_ticks must be >= 1"),
     (("--days", "-2"), "--days -2: need at least one day"),
+    (("--exchange-noise-q", "-1"), "--exchange-noise-q -1.0: need >= 0"),
+    (("--exchange-noise-q", "nan"), "--exchange-noise-q nan: need >= 0"),
     (("--exchanges", ","), "--exchanges ',': names no exchange"),
     (("--exchanges", "A,A"), "--exchanges 'A,A': repeats an exchange"),
-], ids=["ticks-per-day 1", "sigma -1", "jump-spread 0", "days -2", "no exchange",
-        "repeated exchange"])
+], ids=["ticks-per-day 1", "sigma -1", "sigma nan", "noise-q nan", "jumps -1", "jumps nan",
+        "seed -1", "jump-spread 0", "days -2", "exchange-noise-q -1", "exchange-noise-q nan",
+        "no exchange", "repeated exchange"])
 def test_simulate_refuses_bad_flags_and_writes_nothing(tmp_path, capsys, flags, message):
     out = tmp_path / "corpus"
     assert run("simulate", "--out", str(out), "--days", "1", "--ticks-per-day", "600",
@@ -449,7 +457,7 @@ def test_tables_follow_each_records_filter_settings(spiked, tmp_path):
     tables = tmp_path / "tables"
     assert run("analyze", "--store", str(spiked / "store"),
                "--catalog", str(spiked / "catalog.jsonl"), "--out", str(tables)) == 0
-    [hf] = csv.DictReader((tables / "returns_hf_summary.csv").open())
+    [hf] = csv.DictReader((tables / "returns_hf_summary.csv").read_text().splitlines())
     assert int(hf["n"]) == sum(r["n_points"] - 1 for r in recs)
     assert float(hf["max"]) > 0.04                # the kept print
     meta = json.loads((tables / "tables_manifest.json").read_text())
@@ -479,15 +487,35 @@ def test_analyze_exits_2_when_the_store_lacks_a_tested_day(spiked, tmp_path, cap
 def test_analyze_exits_2_on_a_record_without_filter_settings(spiked, tmp_path, capsys):
     recs = [json.loads(line) for line in (spiked / "catalog.jsonl").read_text().splitlines()]
     del recs[1]["filter"]
-    recs[1]["schema_version"] = 2
     catalog = tmp_path / "catalog.jsonl"
-    catalog.write_text("".join(json.dumps(r) + "\n" for r in recs))
     tables = tmp_path / "tables"
-    assert run("analyze", "--store", str(spiked / "store"), "--catalog", str(catalog),
-               "--out", str(tables)) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("i/o error: BTC 2021-01-02: ") and "rerun detect" in err
-    assert not tables.exists()
+    # the version check comes first; a schema-3 record without filter settings is damaged
+    for version, message in (
+            (2, f"{catalog} line 2: a schema 2 record, this version reads schema 3; "
+                "rerun detect"),
+            (3, "BTC 2021-01-02: the record names no filter settings")):
+        recs[1]["schema_version"] = version
+        catalog.write_text("".join(json.dumps(r) + "\n" for r in recs))
+        assert run("analyze", "--store", str(spiked / "store"), "--catalog", str(catalog),
+                   "--out", str(tables)) == 2
+        assert capsys.readouterr().err == f"i/o error: {message}\n"
+        assert not tables.exists()
+
+
+@pytest.mark.parametrize("version", [2, 4])
+def test_a_record_of_another_schema_is_an_io_error(spiked, tmp_path, capsys, version):
+    lines = (spiked / "catalog.jsonl").read_text().splitlines()
+    rec = json.loads(lines[1])
+    rec["schema_version"] = version
+    catalog = tmp_path / "catalog.jsonl"
+    catalog.write_text(f"{lines[0]}\n{json.dumps(rec)}\n")
+    for argv in (("analyze", "--store", str(spiked / "store"), "--out", str(tmp_path / "t")),
+                 ("report", "--out", str(tmp_path / "r"))):
+        assert run(argv[0], "--catalog", str(catalog), *argv[1:]) == 2
+        assert capsys.readouterr().err == (
+            f"i/o error: {catalog} line 2: a schema {version} record, "
+            "this version reads schema 3; rerun detect\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["catalog.jsonl"]
 
 
 def test_truncated_catalog_line_is_an_io_error(spiked, tmp_path, capsys):
@@ -535,6 +563,19 @@ def test_malformed_events_file_is_an_io_error(spiked, tmp_path, capsys, events, 
     assert run("report", "--catalog", str(spiked / "catalog.jsonl"),
                "--events", str(path), "--out", str(tmp_path / "r")) == 2
     assert capsys.readouterr().err == f"i/o error: {path} {message}\n"
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("case", ["missing", "a file"])
+def test_report_on_unreadable_tables_is_an_io_error_and_writes_nothing(spiked, tmp_path,
+                                                                        capsys, case):
+    tables = tmp_path / "tables"
+    if case == "a file":
+        tables.write_text("")
+    assert run("report", "--catalog", str(spiked / "catalog.jsonl"),
+               "--tables", str(tables), "--out", str(tmp_path / "r")) == 2
+    assert capsys.readouterr().err.startswith("i/o error: ")
+    assert not (tmp_path / "r").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -568,6 +609,7 @@ seen["hfjumps"] = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith
 seen["scipy"] = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 seen["numpy_ma"] = "numpy.ma" in sys.modules
 seen["numpy_polynomial"] = "numpy.polynomial" in sys.modules
+seen["numpy"] = "numpy" in sys.modules
 seen["env"] = {v: os.environ.get(v) for v in BLAS_THREAD_VARS}
 tasks = "/proc/self/task"
 seen["threads"] = len(os.listdir(tasks)) if os.path.isdir(tasks) else None
@@ -603,25 +645,26 @@ def startup_inputs(tmp_path_factory):
             "catalog": catalog, "sim_store": root / "sim_store"}
 
 
-READ_PATH = {"errors", "pipeline", "preprocess", "tickstore"}
+READ_PATH = {"catalog", "errors", "pipeline", "preprocess", "tickstore"}
 COMMAND_MODULES = {
     # none of ajl, analytics, config, lee_mykland, pipeline, preprocess or
     # simulate
-    "ingest": {"errors", "tickstore"},
-    "simulate": {"errors", "simulate"},
+    "ingest": {"catalog", "errors", "tickstore"},
+    "simulate": {"catalog", "errors", "simulate"},
     "detect": READ_PATH | {"ajl", "config", "lee_mykland"},
     # the catalog and store readers only: neither jump test, no config
     "analyze": READ_PATH | {"analytics"},
-    "report": READ_PATH,
+    # reads JSON lines and an events CSV: no numpy
+    "report": {"catalog", "errors"},
 }
 
 
 @pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
 def test_each_command_loads_only_the_modules_it_uses(startup_inputs, tmp_path, command):
     """In a fresh process: ``import hfjumps`` and ``import hfjumps.cli`` load
-    no numpy, a command loads only its own modules, and none loads scipy or
-    ``numpy.ma`` (which ``np.median`` and ``np.percentile`` import) or
-    ``numpy.polynomial``."""
+    no numpy, a command loads only its own modules, ``report`` no numpy, and
+    none loads scipy or ``numpy.ma`` (which ``np.median`` and ``np.percentile``
+    import) or ``numpy.polynomial``."""
     inp = startup_inputs
     argv = {
         "ingest": ["ingest", "--store", str(tmp_path / "store"), "--csv", str(inp["ticks"])],
@@ -645,12 +688,14 @@ def test_each_command_loads_only_the_modules_it_uses(startup_inputs, tmp_path, c
     assert seen["scipy"] == []
     assert not seen["numpy_ma"]
     assert not seen["numpy_polynomial"]
+    assert seen["numpy"] == (command != "report")
     if command == "detect":
         recs = [json.loads(l) for l in (tmp_path / "catalog.jsonl").read_text().splitlines()]
         assert len(recs) == 1 and recs[0]["tested"]
     if command == "analyze":
         # every regression column was estimated, so every p-value was computed
-        rows = list(csv.DictReader((tmp_path / "tables" / "regression.csv").open()))
+        rows = list(csv.DictReader((tmp_path / "tables" / "regression.csv").read_text()
+                                   .splitlines()))
         assert len(rows) == 4 and all(0.0 < float(r["p"]) < 1.0 for r in rows)
 
 

@@ -4,9 +4,9 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hfjumps.catalog import DayVerdict, load_catalog
 from hfjumps.config import RunConfig
-from hfjumps.pipeline import (DayVerdict, detect_day, load_catalog, load_day,
-                              render_symbol_summary, run_range)
+from hfjumps.pipeline import detect_day, load_day, render_symbol_summary, run_range
 from hfjumps.preprocess import AggregatedSeries
 from hfjumps.simulate import SimConfig, simulate_day, tick_timestamps_ns
 from hfjumps.tickstore import TickStore
@@ -117,6 +117,10 @@ def test_combination_rule_counts_preserved_when_ajl_accepts(monkeypatch):
 def test_day_verdict_json_round_trip():
     v = detect_day(sim_series(35, jumps=[(0.3, -0.02)]), CFG)
     blob = json.loads(v.to_json())
+    # the schema-3 keys: every DayVerdict field but removals, utc_date as date
+    assert set(blob) == {"schema_version", "config_hash", "symbol", "date", "tested", "reason",
+                         "frequency_s", "n_points", "n_removed", "close_log_price", "filter",
+                         "lm_jump_count_raw", "lm", "ajl", "accepted_jumps"}
     assert blob["schema_version"] == 3
     assert blob["config_hash"] == CFG.hash()
     assert blob["filter"] == {"sd_cutoff": CFG.sd_cutoff,

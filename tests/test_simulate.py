@@ -1,5 +1,6 @@
 """Simulator: reproducibility, path law, ground truth, tick emission."""
 import csv
+import math
 import tracemalloc
 from datetime import date
 
@@ -86,8 +87,11 @@ def test_two_point_noise():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SimConfig(sigma=-1.0)
+    # NaN fails every check, as a negative value does
+    for bad in ({"sigma": -1.0}, {"sigma": math.nan}, {"q": math.nan}, {"seed": -1},
+                {"jump_intensity": -1.0}, {"jump_intensity": math.nan}):
+        with pytest.raises(ValueError):
+            SimConfig(**bad)
     with pytest.raises(ValueError):
         SimConfig(jump_times=(1.5,))
     with pytest.raises(ValueError):

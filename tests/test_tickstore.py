@@ -16,9 +16,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hfjumps import tickstore
+from hfjumps.catalog import day_start_ns, parse_epoch_ns, parse_iso_ns, utc_date
 from hfjumps.simulate import SimConfig, make_corpus
-from hfjumps.tickstore import (CsvSchema, TickStore, day_start_ns, parse_epoch_ns,
-                               parse_iso_ns, utc_date)
+from hfjumps.tickstore import CsvSchema, TickStore
 
 DAY_NS = 86_400 * 10 ** 9
 T0 = 1_614_556_800_000_000_000   # 2021-03-01T00:00:00Z
