@@ -84,10 +84,6 @@ class WeightFunction:
     def __call__(self, s: np.ndarray) -> np.ndarray:
         return self.func(np.asarray(s, dtype=float))
 
-    def moment(self, r: int) -> float:
-        """``int_0^1 g(s)^r ds``, correctly rounded."""
-        return float(self.exact_moment(r))
-
     def grid_weights(self, k_n: int) -> tuple[np.ndarray, np.ndarray]:
         """(g_j for j=1..k_n-1, g'_j for j=1..k_n) on the window grid."""
         full = self(np.arange(0, k_n + 1) / k_n)
@@ -112,16 +108,13 @@ def get_weight(name: str) -> WeightFunction:
 # ---------------------------------------------------------------------------
 
 def absolute_normal_moment(r: int) -> float:
-    """r-th absolute moment of N(0,1); exact (double factorial) for even r."""
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    if r % 2 == 0:
-        out = 1
-        for m in range(r - 1, 1, -2):
-            out *= m
-        return float(out)
-    from math import gamma as gammafn
-    return 2 ** (r / 2) * gammafn((r + 1) / 2) / sqrt(np.pi)
+    """r-th absolute moment of N(0,1) for an even r >= 0: the double factorial (r-1)!!."""
+    if r < 0 or r % 2:
+        raise ValueError(f"r must be an even integer >= 0, got {r}")
+    out = 1
+    for m in range(r - 1, 1, -2):
+        out *= m
+    return float(out)
 
 
 def solve_rho(p: int) -> np.ndarray:

@@ -183,7 +183,6 @@ class RegressionResult:
     r2: float
     adj_r2: float
     nobs: int
-    n_groups: int
 
 
 def significance_stars(p: float) -> str:
@@ -196,10 +195,11 @@ def significance_stars(p: float) -> str:
     return ""
 
 
-def _demean_by_group(values: np.ndarray, group_idx: np.ndarray, n_groups: int) -> np.ndarray:
-    sums = np.zeros((n_groups,) + values.shape[1:])
+def _demean_by_group(values: np.ndarray, group_idx: np.ndarray) -> np.ndarray:
+    """``values`` less their group means; every index in 0..max(group_idx) is a group."""
+    counts = np.bincount(group_idx).astype(float)
+    sums = np.zeros((len(counts),) + values.shape[1:])
     np.add.at(sums, group_idx, values)
-    counts = np.bincount(group_idx, minlength=n_groups).astype(float)
     means = sums / counts.reshape(-1, *([1] * (values.ndim - 1)))
     return values - means[group_idx]
 
@@ -283,7 +283,8 @@ def _t_two_sided_p(t: float, df: float) -> float:
     return 1.0 - front * _beta_cf(b, a, y, x, -lam)
 
 
-def fe_regression(rows: list[PanelRow], regressors=("jump_dummy",)) -> RegressionResult:
+def fe_regression(rows: list[PanelRow],
+                  regressors: tuple[str, ...] = ("jump_dummy",)) -> RegressionResult:
     """Within (entity-demeaned) OLS of daily returns on jump dummies.
 
     One column per regressor; the default single-regressor form matches
@@ -296,9 +297,6 @@ def fe_regression(rows: list[PanelRow], regressors=("jump_dummy",)) -> Regressio
     R^2 is computed on the demeaned totals and the adjustment charges
     the absorbed group means: ``1 - (1-R2)(N-1)/(N-K-G)``.
     """
-    if isinstance(regressors, str):
-        regressors = (regressors,)
-    regressors = tuple(regressors)
     if len(rows) < 2:
         raise ValueError("need at least 2 panel rows")
     symbols = sorted({r.symbol for r in rows})
@@ -309,8 +307,8 @@ def fe_regression(rows: list[PanelRow], regressors=("jump_dummy",)) -> Regressio
     y = np.array([r.daily_return for r in rows], dtype=float)
     X = np.column_stack([[float(getattr(r, name)) for r in rows] for name in regressors])
 
-    yt = _demean_by_group(y, gi, len(symbols))
-    Xt = _demean_by_group(X, gi, len(symbols))
+    yt = _demean_by_group(y, gi)
+    Xt = _demean_by_group(X, gi)
     if np.allclose(Xt, 0.0):
         raise NoVariationError(
             f"regressor(s) {regressors} constant within every symbol")
@@ -345,7 +343,7 @@ def fe_regression(rows: list[PanelRow], regressors=("jump_dummy",)) -> Regressio
     return RegressionResult(
         regressors=regressors, coef=beta, se=se, t_stat=t, p_value=p,
         stars=tuple(significance_stars(float(pi)) for pi in p),
-        r2=r2, adj_r2=adj, nobs=n, n_groups=g)
+        r2=r2, adj_r2=adj, nobs=n)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,8 @@ if TYPE_CHECKING:
 SCHEMA_VERSION = 3
 DAY_NS = 86_400 * 10 ** 9
 EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+# DayVerdict fields a record leaves out: utc_date is written as its ISO "date"
+_NOT_RECORDED = ("utc_date", "removals")
 
 # ASCII digits only: int() also reads other scripts' digits
 _ISO_RE = re.compile(r"^(\d{4})-(\d{2})-(\d{2})[T ](\d{2}):(\d{2}):(\d{2})(?:\.(\d+))?"
@@ -83,11 +85,16 @@ class DayVerdict:
     def to_dict(self) -> dict:
         """The record: ``schema_version``, ISO ``date``, the other fields but ``removals``."""
         rec = {f.name: getattr(self, f.name) for f in fields(self)
-               if f.name not in ("utc_date", "removals")}
+               if f.name not in _NOT_RECORDED}
         return {"schema_version": SCHEMA_VERSION, "date": self.utc_date.isoformat(), **rec}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
+
+
+# the keys of every record to_dict writes
+RECORD_KEYS = frozenset({"schema_version", "date"}
+                        | {f.name for f in fields(DayVerdict) if f.name not in _NOT_RECORDED})
 
 
 def manifest_path(catalog_path) -> Path:
@@ -108,7 +115,8 @@ def load_catalog(path) -> list[dict]:
 
     A line that is not a JSON object with a ``schema_version`` key, as
     every verdict has, raises OSError: the file is not a catalog.  So
-    does a record of another schema than ``SCHEMA_VERSION``.
+    does a record of another schema than ``SCHEMA_VERSION``, and one
+    that lacks any of the ``RECORD_KEYS``.
     """
     out = []
     with open(path, "rb") as fh:
@@ -125,5 +133,9 @@ def load_catalog(path) -> list[dict]:
             if rec["schema_version"] != SCHEMA_VERSION:
                 raise OSError(f"{path} line {n}: a schema {rec['schema_version']!r} record, "
                               f"this version reads schema {SCHEMA_VERSION}; rerun detect")
+            missing = RECORD_KEYS.difference(rec)
+            if missing:
+                raise OSError(f"{path} line {n}: a schema {SCHEMA_VERSION} record "
+                              f"missing {sorted(missing)}")
             out.append(rec)
     return out

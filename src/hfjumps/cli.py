@@ -159,6 +159,8 @@ def cmd_ingest(args) -> int:
             raise OSError(f"{path}: not a readable UTF-8 CSV: {exc}") from None
         except ValueError as exc:             # a column missing: a --col-* flag fixes it
             return _usage_error(str(exc))
+        for line, reason in rep.reject_log:
+            log.debug("%s line %d: %s", path, line, reason)
         total_acc += rep.accepted
         total_rej += rep.rejected
         print(f"{path}: accepted={rep.accepted} rejected={rep.rejected}"

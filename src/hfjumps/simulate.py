@@ -1,10 +1,10 @@
 """Synthetic symbol-days with known jump ground truth.
 
 The latent log price follows ``dX = sigma dW + Z dJ`` over a 24h day
-(T = 1), observed through additive microstructure noise of standard
-deviation ``q``.  Every statistical acceptance test in the suite is
-calibrated against paths produced here, so generation is strictly
-reproducible from the seed.
+(T = 1), observed through additive Gaussian microstructure noise of
+standard deviation ``q``.  Every statistical acceptance test in the
+suite is calibrated against paths produced here, so generation is
+strictly reproducible from the seed.
 """
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ import numpy as np
 from .catalog import DAY_NS, day_start_ns
 
 BLOCK_TICKS = 2_048   # ticks formatted per write; larger blocks hold more text in memory
+X0 = np.log(100.0)    # every path's opening log price
 
 
 @dataclass(frozen=True)
@@ -28,13 +29,11 @@ class SimConfig:
     q: float = 0.0005            # noise standard deviation per observation
     n: int = 86_400              # observations per day
     seed: int = 0
-    x0: float = np.log(100.0)
     jump_times: tuple[float, ...] | None = None    # fractions of the day in [0,1)
     jump_sizes: tuple[float, ...] | None = None    # log sizes, paired with jump_times
     jump_intensity: float = 0.0                    # Poisson jumps/day when times not given
     jump_fixed_size: float | None = None           # fixed magnitude (sign still random)
     jump_spread_ticks: int = 1   # >1 spreads each jump linearly over that many ticks
-    noise: str = "gaussian"      # "gaussian" | "two_point"
 
     def __post_init__(self):
         # not (x >= 0) refuses NaN too
@@ -49,8 +48,6 @@ class SimConfig:
             if self.jump_sizes is not None and \
                len(self.jump_sizes) != len(self.jump_times):
                 raise ValueError("jump_sizes must pair with jump_times")
-        if self.noise not in ("gaussian", "two_point"):
-            raise ValueError(f"unknown noise kind {self.noise!r}")
         if self.jump_spread_ticks < 1:
             raise ValueError("jump_spread_ticks must be >= 1")
 
@@ -59,7 +56,6 @@ class SimConfig:
 class SimDay:
     observed: np.ndarray                 # noisy log prices, length n
     latent: np.ndarray                   # efficient log prices, length n
-    noise: np.ndarray                    # observed - latent, exactly
     true_jumps: tuple[tuple[float, float], ...]   # (time fraction, log size)
     config: SimConfig
 
@@ -108,15 +104,9 @@ def simulate_day(config: SimConfig) -> SimDay:
         hi = min(idx + spread, n)
         increments[idx - 1:hi - 1] += size / (hi - idx)
 
-    latent = config.x0 + np.concatenate(([0.0], np.cumsum(increments)))
-    if config.noise == "gaussian":
-        draw = config.q * rng.standard_normal(n)
-    else:
-        draw = config.q * rng.choice((-1.0, 1.0), size=n)
-    observed = latent + draw
-    # store the realized (post-rounding) noise so observed - latent == noise
-    # holds exactly
-    return SimDay(observed=observed, latent=latent, noise=observed - latent,
+    latent = X0 + np.concatenate(([0.0], np.cumsum(increments)))
+    observed = latent + config.q * rng.standard_normal(n)
+    return SimDay(observed=observed, latent=latent,
                   true_jumps=tuple(zip(times, sizes)), config=config)
 
 

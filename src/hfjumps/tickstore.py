@@ -267,7 +267,6 @@ class CsvSchema:
 
 @dataclass
 class IngestReport:
-    source: str
     accepted: int = 0
     rejected: int = 0
     timestamp_format: str = ""
@@ -485,10 +484,9 @@ class TickStore:
             record_path = self.root / "sources" / f"{digest}.json"
             if record_path.exists():
                 log.info("ingest %s: already ingested (hash match), skipping", path)
-                return IngestReport(source=str(path), already_ingested=True,
-                                    **json.loads(record_path.read_text()))
+                return IngestReport(already_ingested=True, **json.loads(record_path.read_text()))
             fh.seek(0)
-            report = IngestReport(source=str(path))
+            report = IngestReport()
             fmt = None
             codes: dict[tuple[bytes, bytes], int] = {}   # raw (symbol, exchange) -> pair code
             pairs: list[tuple[str, str]] = []            # pair code -> stripped (symbol, exchange)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hfjumps.catalog import SCHEMA_VERSION
+from hfjumps.catalog import DayVerdict
 from hfjumps.cli import main
 from hfjumps.config import RunConfig
 
@@ -21,7 +21,7 @@ START = date(2021, 1, 4)       # a Monday
 N_DAYS = 5
 TICKS_PER_DAY = 400
 # what detect writes beside each verdict at the default config
-PROVENANCE = {"schema_version": SCHEMA_VERSION, "config_hash": RunConfig().hash(),
+PROVENANCE = {"config_hash": RunConfig().hash(),
               "filter": {"sd_cutoff": RunConfig().sd_cutoff,
                          "reversal": RunConfig().bounceback_reversal}}
 
@@ -61,15 +61,13 @@ def build_inputs(root: Path) -> tuple[Path, Path]:
             jumps = [{"utc_timestamp_ns": _ns(d, h, m), "size": size, "xi": 30.0,
                       "direction": "positive" if size > 0 else "negative"}
                      for sym, di, h, m, size in JUMPS if (sym, di) == (symbol, i)]
-            records.append({"symbol": symbol, "date": d.isoformat(), "tested": True,
-                            "reason": "", "close_log_price": float(lp[-1]),
-                            # the filter drops the bad print
-                            "n_points": TICKS_PER_DAY - ((symbol, i) == ("BTC", 2)),
-                            "accepted_jumps": jumps, **PROVENANCE})
+            dropped = (symbol, i) == ("BTC", 2)      # the filter drops the bad print
+            records.append(DayVerdict(symbol, d, tested=True, close_log_price=float(lp[-1]),
+                                      n_points=TICKS_PER_DAY - dropped, n_removed=int(dropped),
+                                      accepted_jumps=jumps, **PROVENANCE).to_dict())
             level = float(lp[-1]) + sum(j["size"] for j in jumps)
-    records.append({"symbol": "ETH", "date": (START + timedelta(days=N_DAYS)).isoformat(),
-                    "tested": False, "reason": "frequency", "close_log_price": None,
-                    "n_points": 0, "accepted_jumps": [], **PROVENANCE})
+    records.append(DayVerdict("ETH", START + timedelta(days=N_DAYS), tested=False,
+                              reason="frequency", **PROVENANCE).to_dict())
 
     ticks = root / "ticks.csv"
     with open(ticks, "w", newline="") as fh:

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hfjumps.catalog import RECORD_KEYS
 from hfjumps.cli import BLAS_THREAD_VARS, _resolve_config, build_parser, main
 from hfjumps.config import RunConfig
 from hfjumps.tickstore import TickStore
@@ -147,6 +148,30 @@ def test_ingest_rejects_a_nul_in_a_symbol_and_keeps_the_file(tmp_path, capsys):
     assert run("ingest", "--store", str(tmp_path / "s"), "--csv", str(path)) == 0
     assert capsys.readouterr().out.endswith("total: accepted=1 rejected=1\n")
     assert [p.name for p in (tmp_path / "s" / "ticks").iterdir()] == ["BTC"]
+
+
+def test_verbose_ingest_lists_each_rejected_row(tmp_path):
+    path = tmp_path / "ticks.csv"
+    path.write_text("time,exchange,symbol,price\n"
+                    "1614556800000000000,A,BTC,100.0\n"
+                    "yesterday,A,BTC,100.0\n"
+                    "1614556802000000000,A,BTC,101.0\n"
+                    "1614556803000000000,A,BTC,-1\n"
+                    "\n"
+                    "1614556804000000000,A,BTC,abc\n"
+                    "1614556805000000000,A,,100.0\n")
+    listed = {}
+    for flags in ((), ("-v",)):
+        store = tmp_path / f"s{len(flags)}"
+        proc = subprocess.run([sys.executable, "-m", "hfjumps.cli", *flags, "ingest",
+                               "--store", str(store), "--csv", str(path)],
+                              env=fresh_env(), capture_output=True, text=True, check=True)
+        assert proc.stdout.endswith("total: accepted=2 rejected=4\n")
+        listed[flags] = [line for line in proc.stderr.splitlines() if f"{path} line " in line]
+    assert listed[()] == []
+    assert listed["-v",] == [f"DEBUG hfjumps: {path} line {n}: {reason}" for n, reason in (
+        (3, "bad timestamp"), (5, "non-positive price"), (7, "bad price"),
+        (8, "missing field"))]
 
 
 @pytest.mark.parametrize("body, message", [
@@ -486,20 +511,37 @@ def test_analyze_exits_2_when_the_store_lacks_a_tested_day(spiked, tmp_path, cap
 
 def test_analyze_exits_2_on_a_record_without_filter_settings(spiked, tmp_path, capsys):
     recs = [json.loads(line) for line in (spiked / "catalog.jsonl").read_text().splitlines()]
-    del recs[1]["filter"]
     catalog = tmp_path / "catalog.jsonl"
     tables = tmp_path / "tables"
-    # the version check comes first; a schema-3 record without filter settings is damaged
-    for version, message in (
-            (2, f"{catalog} line 2: a schema 2 record, this version reads schema 3; "
-                "rerun detect"),
-            (3, "BTC 2021-01-02: the record names no filter settings")):
-        recs[1]["schema_version"] = version
-        catalog.write_text("".join(json.dumps(r) + "\n" for r in recs))
+    # the version check comes first, then the keys; a tested schema-3 record
+    # whose filter is null is damaged
+    for version, filter_key, message in (
+            (2, {}, f"{catalog} line 2: a schema 2 record, this version reads schema 3; "
+                    "rerun detect"),
+            (3, {}, f"{catalog} line 2: a schema 3 record missing ['filter']"),
+            (3, {"filter": None}, "BTC 2021-01-02: the record names no filter settings")):
+        rec = {k: v for k, v in recs[1].items() if k != "filter"}
+        rec.update(filter_key, schema_version=version)
+        catalog.write_text("".join(json.dumps(r) + "\n" for r in (recs[0], rec)))
         assert run("analyze", "--store", str(spiked / "store"), "--catalog", str(catalog),
                    "--out", str(tables)) == 2
         assert capsys.readouterr().err == f"i/o error: {message}\n"
         assert not tables.exists()
+
+
+@pytest.mark.parametrize("key", sorted(RECORD_KEYS - {"schema_version"}))
+def test_a_record_missing_a_key_is_an_io_error(spiked, tmp_path, capsys, key):
+    lines = (spiked / "catalog.jsonl").read_text().splitlines()
+    rec = json.loads(lines[1])
+    del rec[key]
+    catalog = tmp_path / "catalog.jsonl"
+    catalog.write_text(f"{lines[0]}\n{json.dumps(rec)}\n")
+    for argv in (("analyze", "--store", str(spiked / "store"), "--out", str(tmp_path / "t")),
+                 ("report", "--out", str(tmp_path / "r"))):
+        assert run(argv[0], "--catalog", str(catalog), *argv[1:]) == 2
+        assert capsys.readouterr().err == (
+            f"i/o error: {catalog} line 2: a schema 3 record missing ['{key}']\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["catalog.jsonl"]
 
 
 @pytest.mark.parametrize("version", [2, 4])

@@ -46,11 +46,6 @@ def test_same_seed_bitwise_identical():
     assert a.true_jumps == b.true_jumps
 
 
-def test_noise_identity_exact():
-    sim = simulate_day(SimConfig(seed=5, n=3000))
-    np.testing.assert_array_equal(sim.observed - sim.latent, sim.noise)
-
-
 def test_quadratic_variation_converges():
     sigma = 0.04
     errs = []
@@ -81,11 +76,6 @@ def test_poisson_jump_counts_reproducible_and_within_day():
     assert simulate_day(cfg).true_jumps == sim.true_jumps
 
 
-def test_two_point_noise():
-    sim = simulate_day(SimConfig(seed=3, n=4000, q=0.001, noise="two_point"))
-    assert set(np.round(np.abs(sim.noise), 12)) == {0.001}
-
-
 def test_config_validation():
     # NaN fails every check, as a negative value does
     for bad in ({"sigma": -1.0}, {"sigma": math.nan}, {"q": math.nan}, {"seed": -1},
@@ -96,8 +86,6 @@ def test_config_validation():
         SimConfig(jump_times=(1.5,))
     with pytest.raises(ValueError):
         SimConfig(jump_times=(0.5,), jump_sizes=(1.0, 2.0))
-    with pytest.raises(ValueError):
-        SimConfig(noise="laplace")
 
 
 def test_tick_timestamps_within_day():
