@@ -11,7 +11,7 @@ Run:  python demos/detector_tour.py
 import numpy as np
 
 from hfjumps.ajl import AjlParams, ajl_test
-from hfjumps.lee_mykland import LmParams, dedup_consecutive, estimate_noise, lm_scan, select_k
+from hfjumps.lee_mykland import LmParams, dedup_consecutive, lm_scan, select_k
 from hfjumps.simulate import SimConfig, simulate_day
 
 N = 86_400
@@ -42,11 +42,11 @@ def main():
         # ---- moment-level test -------------------------------------------------
         k = select_k(prices)
         params = LmParams.for_series(N, k)
-        noise = estimate_noise(prices, k)
+        scan = lm_scan(prices, params)
+        noise = scan.noise
         print(f"k={k} (autocorrelation rule), M={params.M}, "
               f"q_hat={np.sqrt(noise.q_hat_sq):.6f}, "
               f"sigma_hat={np.sqrt(noise.sigma_hat_sq):.4f}, V_n={noise.v_n:.3e}")
-        scan = lm_scan(prices, params, noise=noise)
         print(f"blocks={scan.n_blocks}, max xi={scan.xi.max():.2f}, "
               f"threshold={scan.threshold:.2f} (Bonferroni within day)")
         accepted = dedup_consecutive(scan.moments)

@@ -481,8 +481,8 @@ def build_tables(day_records: list[dict],
     ``day_records`` are catalog entries; ``hf_returns`` holds each
     symbol's high-frequency log returns, one array per tested day.  The
     tables are the high-frequency and daily return summaries with their
-    extreme counts, the jump-size summary (given two or more jumps) and
-    extreme counts, jump seasonality, the daily panel and the four
+    extreme counts, the jump-size summary (header only below two jumps)
+    and extreme counts, jump seasonality, the daily panel and the four
     jump-dummy regression columns.
     """
     hf = {sym: np.concatenate(parts) for sym, parts in hf_returns.items()}
@@ -494,16 +494,13 @@ def build_tables(day_records: list[dict],
     sizes = np.array([ev["size"] for ev in jumps], dtype=float)
     weekday, hour = seasonality([ev["utc_timestamp_ns"] for ev in jumps])
 
-    tables = [
+    return [
         _summary_table("returns_hf_summary", hf, "no tested days\n"),
         _extremes_table("extremes_hf", np.concatenate(list(hf.values())) if hf
                         else np.empty(0)),
         _summary_table("returns_daily_summary", daily, "insufficient daily history\n"),
         _extremes_table("extremes_daily", np.array([r.daily_return for r in panel])),
-    ]
-    if len(sizes) >= 2:
-        tables.append(_summary_table("jump_size_summary", {"all": sizes}, None))
-    tables += [
+        _summary_table("jump_size_summary", {"all": sizes}, None),
         _extremes_table("extreme_jumps", sizes, (0.025, 0.05, 0.1, 0.2), with_text=False),
         Table("seasonality_weekday", ("weekday", "count"),
               [(name, int(weekday[i])) for i, name in enumerate(WEEKDAYS)]),
@@ -514,5 +511,4 @@ def build_tables(day_records: list[dict],
               [(r.symbol, r.utc_date.isoformat(), r.daily_return, r.jump_dummy,
                 r.lagged_jump_dummy, r.pos_jump_dummy, r.neg_jump_dummy) for r in panel]),
         _regression_table(panel),
-    ]
-    return tables, dropped
+    ], dropped

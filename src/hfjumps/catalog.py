@@ -1,4 +1,4 @@
-"""The jump catalog's record and manifest, and the UTC day clock.
+"""The jump catalog's record, manifest and removal log, and the UTC day clock.
 
 What the catalog, the tick store and ``report`` must agree on, written
 with the standard library alone, so that reading a catalog loads no
@@ -20,8 +20,10 @@ if TYPE_CHECKING:
 SCHEMA_VERSION = 3
 DAY_NS = 86_400 * 10 ** 9
 EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
-# DayVerdict fields a record leaves out: utc_date is written as its ISO "date"
+# DayVerdict fields a record leaves out: utc_date is written as its ISO "date",
+# and each of the removals is a row of the removal log, under REMOVALS_HEADER
 _NOT_RECORDED = ("utc_date", "removals")
+REMOVALS_HEADER = ("symbol", "date", "timestamp_ns", "rule", "value")
 
 # ASCII digits only: int() also reads other scripts' digits
 _ISO_RE = re.compile(r"^(\d{4})-(\d{2})-(\d{2})[T ](\d{2}):(\d{2}):(\d{2})(?:\.(\d+))?"
@@ -91,6 +93,11 @@ class DayVerdict:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
 
+    def removal_rows(self) -> list[tuple]:
+        """The day's rows of the removal log, under ``REMOVALS_HEADER``."""
+        return [(self.symbol, self.utc_date.isoformat(), r.timestamp_ns, r.rule, repr(r.value))
+                for r in self.removals]
+
 
 # the keys of every record to_dict writes
 RECORD_KEYS = frozenset({"schema_version", "date"}
@@ -101,6 +108,13 @@ def manifest_path(catalog_path) -> Path:
     """The completion manifest beside a catalog: ``<catalog>.manifest.json``."""
     p = Path(catalog_path)
     return p.with_name(p.name + ".manifest.json")
+
+
+def removals_path(catalog_path) -> Path:
+    """The removal log beside a catalog: ``<catalog>.removals.csv``, one row
+    per point the outlier filter removed, in catalog order."""
+    p = Path(catalog_path)
+    return p.with_name(p.name + ".removals.csv")
 
 
 def write_manifest(catalog_path, cfg: RunConfig, completed: int, total: int) -> None:

@@ -222,10 +222,7 @@ def cmd_detect(args) -> int:
             and (args.date_to is None or d <= args.date_to)]
     if not days:
         log.warning("no stored days to detect; writing an empty catalog")
-    out_dir = Path(args.out).parent
-    verdicts = pipeline.run_range(store, symbols, days, cfg,
-                                  catalog_path=args.out,
-                                  removal_log_dir=out_dir / "removals")
+    verdicts = pipeline.run_range(store, symbols, days, cfg, args.out)
     print(pipeline.render_symbol_summary(verdicts), end="")
     return EXIT_OK
 
@@ -241,8 +238,7 @@ def cmd_analyze(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for table in tables:
         _write_table(out, table)
-    if dropped:
-        (out / "panel_dropped.log").write_text("\n".join(dropped) + "\n")
+    (out / "panel_dropped.log").write_text("".join(line + "\n" for line in dropped))
     meta = {"config_hashes": sorted({rec["config_hash"] for rec in records}),
             "n_records": len(records), "schema_version": SCHEMA_VERSION}
     (out / "tables_manifest.json").write_text(json.dumps(meta, indent=1, sort_keys=True))

@@ -206,9 +206,11 @@ def an_bn(n: int, k: int, M: int) -> tuple[float, float, int]:
 
 
 def lm_scan(log_prices: np.ndarray, params: LmParams,
-            timestamps_ns: np.ndarray | None = None,
-            noise: NoiseEstimate | None = None) -> LmDayResult:
+            timestamps_ns: np.ndarray | None = None) -> LmDayResult:
     """Scan one day of tick log prices for jump moments.
+
+    The noise estimate is ``estimate_noise`` at ``params.k`` and
+    ``params.C``, returned as the result's ``noise``.
 
     Block means are differenced element-wise (mean of ``block[j+1][i] -
     block[j][i]``), which is algebraically ``P_hat(j+1) - P_hat(j)`` and
@@ -219,8 +221,7 @@ def lm_scan(log_prices: np.ndarray, params: LmParams,
     n = len(p)
     k, M = params.k, params.M
     a_n, b_n, L = an_bn(n, k, M)
-    if noise is None:
-        noise = estimate_noise(p, k, C=params.C)
+    noise = estimate_noise(p, k, C=params.C)
     if noise.v_n <= 0:
         raise DayRejected("lm_flat", "V_n is zero (flat day)")
 

@@ -8,15 +8,17 @@ same inputs, config, and seeds are byte-identical.
 """
 from __future__ import annotations
 
+import csv
 import logging
 from datetime import date
+from itertools import product
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 # load_catalog is not used here: the benchmark imports it from this module
-from .catalog import DayVerdict, load_catalog, write_manifest
+from .catalog import REMOVALS_HEADER, DayVerdict, load_catalog, removals_path, write_manifest
 from .errors import DayRejected
 from .preprocess import (AggregatedSeries, aggregate_cross_exchange, filter_returns,
                          make_equispaced, select_frequency)
@@ -156,25 +158,25 @@ def render_symbol_summary(verdicts: list[DayVerdict]) -> str:
 
 
 def run_range(store: TickStore, symbols: list[str], dates: list[date],
-              cfg: RunConfig, catalog_path=None,
-              removal_log_dir=None) -> list[DayVerdict]:
+              cfg: RunConfig, catalog_path) -> list[DayVerdict]:
     """Detect over a symbol-date grid; day failures never abort the run.
 
     With ``bonferroni="corpus"`` the correction family is all requested
-    symbol-days rather than one day's blocks.  When ``catalog_path`` is
-    given, verdicts stream to JSON lines as they complete and a
-    completion manifest is written next to the catalog even on
-    interruption.
+    symbol-days rather than one day's blocks.  Verdicts stream to the
+    JSON-lines catalog as they complete, each day's removed points to
+    the removal log beside it in the same step, and a completion
+    manifest is written next to the catalog even on interruption.
     """
     family = max(1, len(symbols) * len(dates)) if cfg.bonferroni == "corpus" else 1
     verdicts: list[DayVerdict] = []
-    if catalog_path:
-        Path(catalog_path).parent.mkdir(parents=True, exist_ok=True)
-    sink = open(catalog_path, "w") if catalog_path else None
+    Path(catalog_path).parent.mkdir(parents=True, exist_ok=True)
     total = len(symbols) * len(dates)
-    try:
-        for symbol in symbols:
-            for day in dates:
+    with open(catalog_path, "w") as sink, \
+            open(removals_path(catalog_path), "w", newline="") as removals_fh:
+        removals = csv.writer(removals_fh)
+        removals.writerow(REMOVALS_HEADER)
+        try:
+            for symbol, day in product(symbols, dates):
                 try:
                     v = detect_day(load_day(store, symbol, day), cfg,
                                    family_multiplier=family)
@@ -184,24 +186,11 @@ def run_range(store: TickStore, symbols: list[str], dates: list[date],
                                    reason=f"error:{type(exc).__name__}",
                                    config_hash=cfg.hash())
                 verdicts.append(v)
-                if sink:
-                    sink.write(v.to_json() + "\n")
-                if removal_log_dir and v.removals:
-                    _write_removal_log(removal_log_dir, v)
-    finally:
-        if sink:
+                sink.write(v.to_json() + "\n")
+                removals.writerows(v.removal_rows())
+        finally:
+            # both files hold every finished day before the manifest counts it
             sink.close()
+            removals_fh.close()
             write_manifest(catalog_path, cfg, len(verdicts), total)
     return verdicts
-
-
-def _write_removal_log(dir_path, verdict: DayVerdict) -> None:
-    import csv
-    d = Path(dir_path)
-    d.mkdir(parents=True, exist_ok=True)
-    with open(d / f"removals_{verdict.symbol}_{verdict.utc_date.isoformat()}.csv",
-              "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["timestamp_ns", "rule", "value"])
-        for r in verdict.removals:
-            w.writerow([r.timestamp_ns, r.rule, repr(r.value)])

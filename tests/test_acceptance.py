@@ -444,7 +444,8 @@ def test_criterion_end_to_end_determinism(tmp_path):
         tables = root / "tables"
         cli("analyze", "--store", str(store), "--catalog", str(catalog),
             "--out", str(tables))
-        blobs = {"catalog.jsonl": catalog.read_bytes()}
+        blobs = {"catalog.jsonl": catalog.read_bytes(),
+                 "catalog.jsonl.removals.csv": (root / "catalog.jsonl.removals.csv").read_bytes()}
         for p in sorted(tables.iterdir()):
             blobs["tables/" + p.name] = p.read_bytes()
         for p in sorted(corpus.iterdir()):

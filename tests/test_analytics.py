@@ -250,7 +250,7 @@ def test_build_tables_file_set_and_fallbacks():
     for r in recs[6:]:
         r["accepted_jumps"] = []                      # a single jump, on BTC
     tables, _ = tables_by_name(recs)
-    assert "jump_size_summary" not in tables
+    assert tables["jump_size_summary"].rows == [] and tables["jump_size_summary"].text is None
     assert tables["returns_hf_summary"].rows == []
     assert tables["returns_hf_summary"].text == "no tested days\n"
     assert tables["seasonality"].rows is None and tables["seasonality"].text

@@ -105,3 +105,24 @@ def test_pinned_fixture_populates_every_table():
     assert (EXPECTED / "panel_dropped.log").read_text().count("\n") == 2
     hf = list(csv.reader((EXPECTED / "returns_hf_summary.csv").read_text().splitlines()))
     assert [r[0] for r in hf[1:]] == ["BTC", "ETH"]
+
+
+def test_analyze_rerun_into_one_out_writes_every_file_afresh(tmp_path):
+    tables = run_analyze(tmp_path)
+    names = sorted(p.name for p in tables.iterdir())
+    assert len(names) == 18
+    records = [json.loads(line) for line in (tmp_path / "catalog.jsonl").read_text().splitlines()]
+    # one jump on a tested day (its previous day absent), then no tested day at all
+    one_jump = [r for r in records if (r["symbol"], r["date"]) == ("BTC", "2021-01-05")]
+    untested = [r for r in records if not r["tested"]]
+    assert len(one_jump[0]["accepted_jumps"]) == 1 and len(untested) == 1
+    for subset, dropped in ((one_jump, "BTC 2021-01-05: previous day untested\n"),
+                            (untested, "")):
+        catalog = tmp_path / "subset.jsonl"
+        catalog.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in subset))
+        assert main(["analyze", "--store", str(tmp_path / "store"), "--catalog", str(catalog),
+                     "--out", str(tables)]) == 0
+        assert sorted(p.name for p in tables.iterdir()) == names
+        assert (tables / "jump_size_summary.csv").read_text() == \
+            "name,min,q1,median,mean,q3,max,skewness,kurtosis,n\n"
+        assert (tables / "panel_dropped.log").read_text() == dropped

@@ -13,9 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hfjumps.catalog import RECORD_KEYS
+from hfjumps.catalog import RECORD_KEYS, removals_path
 from hfjumps.cli import BLAS_THREAD_VARS, _resolve_config, build_parser, main
 from hfjumps.config import RunConfig
+from hfjumps.pipeline import load_day
 from hfjumps.tickstore import TickStore
 from test_analyze_tables import EXPECTED as PINNED_TABLES, build_inputs
 
@@ -494,6 +495,46 @@ def test_detect_manifest_holds_the_config(spiked):
     manifest = json.loads((spiked / "2021-01-02" / "catalog.jsonl.manifest.json").read_text())
     cfg = RunConfig(sd_cutoff=1000.0)
     assert manifest["config"] == cfg.to_dict() and manifest["config_hash"] == cfg.hash()
+
+
+def detect_spiked_day(spiked, out, *extra):
+    """Detect the spiked day alone into ``out``; its removal log's header and rows."""
+    assert run("detect", "--store", str(spiked / "store"), "--out", str(out),
+               "--from", "2021-01-02", "--to", "2021-01-02", *extra) == 0
+    [rec] = [json.loads(line) for line in out.read_text().splitlines()]
+    header, *rows = csv.reader(removals_path(out).read_text().splitlines())
+    assert header == ["symbol", "date", "timestamp_ns", "rule", "value"]
+    assert len(rows) == rec["n_removed"]
+    return rows
+
+
+def test_detect_logs_each_removed_point_beside_its_catalog(spiked, tmp_path):
+    out = tmp_path / "catalog.jsonl"
+    rows = detect_spiked_day(spiked, out)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "catalog.jsonl", "catalog.jsonl.manifest.json", "catalog.jsonl.removals.csv"]
+    # the +5% print is line 3000 of the day's CSV, and the only point removed
+    lines = (spiked / "corpus" / "ticks_BTC_2021-01-02.csv").read_text().splitlines()
+    spike_ns = int(lines[3000].split(",")[0])
+    day = load_day(TickStore(spiked / "store"), "BTC", date(2021, 1, 2))
+    i = int(np.searchsorted(day.timestamps_ns, spike_ns))
+    move = float(day.log_prices[i] - day.log_prices[i - 1])
+    assert move > 0.04
+    assert rows == [["BTC", "2021-01-02", str(spike_ns), "bounceback", repr(move)]]
+
+
+def test_detect_rerun_leaves_no_stale_removals(spiked, tmp_path):
+    out = tmp_path / "catalog.jsonl"
+    assert len(detect_spiked_day(spiked, out)) == 1
+    assert detect_spiked_day(spiked, out, "--sd-cutoff", "1000") == []
+
+
+def test_catalogs_in_one_directory_keep_their_own_removal_logs(spiked, tmp_path):
+    cleaned, kept = tmp_path / "cleaned.jsonl", tmp_path / "kept.jsonl"
+    assert len(detect_spiked_day(spiked, cleaned)) == 1
+    assert detect_spiked_day(spiked, kept, "--sd-cutoff", "1000") == []
+    assert len(list(csv.reader(removals_path(cleaned).read_text().splitlines()))) == 2
+    assert not (tmp_path / "removals").exists()
 
 
 def test_analyze_exits_2_when_the_store_lacks_a_tested_day(spiked, tmp_path, capsys):

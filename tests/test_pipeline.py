@@ -4,7 +4,7 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
-from hfjumps.catalog import DayVerdict, load_catalog
+from hfjumps.catalog import DayVerdict, load_catalog, manifest_path, removals_path
 from hfjumps.config import RunConfig
 from hfjumps.pipeline import detect_day, load_day, render_symbol_summary, run_range
 from hfjumps.preprocess import AggregatedSeries
@@ -194,9 +194,14 @@ def test_run_range_deterministic_bytes(tmp_path):
 
 
 def test_run_range_empty(tmp_path):
-    out = run_range(TickStore(tmp_path / "store"), [], [], CFG)
+    catalog = tmp_path / "catalog.jsonl"
+    out = run_range(TickStore(tmp_path / "store"), [], [], CFG, catalog)
     assert out == []
     assert render_symbol_summary(out) == "Symbol    N jumps  N test days  % jumps\n"
+    assert catalog.read_text() == ""
+    assert removals_path(catalog).read_bytes() == b"symbol,date,timestamp_ns,rule,value\r\n"
+    manifest = json.loads(manifest_path(catalog).read_text())
+    assert manifest["complete"] and (manifest["completed_days"], manifest["total_days"]) == (0, 0)
 
 
 def test_render_symbol_summary_layout():
