@@ -5,7 +5,7 @@ Each command line of the README's first ``bash`` block under
 the checkout, so the commands use the installed package: its console
 script and the data files it ships.  Exits 1 unless every command exits
 0, the catalog holds at least one tested day and the report bundle
-holds ``timeline.csv``.
+holds ``timeline.csv`` and the catalog's manifest and removal log.
 
     python -m venv venv && venv/bin/pip install .
     PATH="$PWD/venv/bin:$PATH" python scripts/readme_walkthrough.py
@@ -50,9 +50,11 @@ def main() -> int:
         if not tested:
             print("the catalog holds no tested day", file=sys.stderr)
             return 1
-        if not (work / "report" / "timeline.csv").is_file():
-            print("the report bundle holds no timeline.csv", file=sys.stderr)
-            return 1
+        for name in ("timeline.csv", "catalog.jsonl.manifest.json",
+                     "catalog.jsonl.removals.csv"):
+            if not (work / "report" / name).is_file():
+                print(f"the report bundle holds no {name}", file=sys.stderr)
+                return 1
     return 0
 
 

@@ -41,12 +41,13 @@ falls back to a seeded, memoized Monte Carlo of ``sigma_rj_paths`` paths.
 
 Both window sums are correlations of the returns (and of their squares)
 with a fixed weight, computed with numpy's real FFT.  A chunk of paths
-is transformed once, zero-padded to the smallest 5-smooth length
-``L >= N``; each weight then costs one pointwise product and one inverse
+is transformed once, zero-padded to ``L = N + 1``, the day's price count,
+which on every grid of a day (86,400/f prices) is 5-smooth and so a fast
+length; each weight then costs one pointwise product and one inverse
 transform per quantity.  A circular correlation at ``L >= N`` never
 wraps on the complete windows, which are the only ones kept, so it is
-exact up to rounding.  The module needs nothing beyond numpy and the
-standard library.
+exact up to rounding at any length.  The module needs nothing beyond
+numpy and the standard library.
 """
 from __future__ import annotations
 
@@ -146,22 +147,6 @@ def solve_rho(p: int) -> np.ndarray:
 # robust power variation
 # ---------------------------------------------------------------------------
 
-def _fast_len(n: int) -> int:
-    """Smallest 5-smooth integer >= n: an FFT length pocketfft handles fast."""
-    best = 1 << max(n - 1, 0).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            m = p35
-            while m < n:
-                m *= 2
-            best = min(best, m)
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
 def _power_variations(d: np.ndarray, weights: tuple[WeightFunction, ...], p: int,
                       k_n: int, rho: np.ndarray) -> np.ndarray:
     """Vbar of each row of ``d`` (rows x returns) for each weight.
@@ -171,7 +156,7 @@ def _power_variations(d: np.ndarray, weights: tuple[WeightFunction, ...], p: int
     weights.
     """
     N = d.shape[1]
-    L = _fast_len(N)
+    L = N + 1   # the day's price count: 86,400/f is 5-smooth, a fast FFT length
     n_win = N - k_n + 1
     half = p // 2
     fd = np.fft.rfft(d, L, axis=1)

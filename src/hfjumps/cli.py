@@ -4,7 +4,8 @@ Only ``detect`` resolves a config; its catalog records the hash and each
 day's filter settings, and its manifest the whole config, so ``analyze``
 and ``report`` read the catalog instead.  Identical inputs and seeds
 reproduce identical bytes.  Exit codes: 0 success, 1 usage,
-2 I/O error, 3 config error.
+2 I/O error (also a ``detect`` that tested no day and failed one),
+3 config error.
 
 Each command imports only the modules it uses, and ``main`` asks for one
 BLAS/OpenMP thread before numpy loads (see ``_one_blas_thread``).
@@ -24,7 +25,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 # every command uses the catalog module, which loads no numpy
-from .catalog import SCHEMA_VERSION, load_catalog, manifest_path, parse_iso_ns, utc_date
+from .catalog import (SCHEMA_VERSION, load_catalog, manifest_path, parse_iso_ns,
+                      removals_path, utc_date)
 from .errors import ConfigError
 
 if TYPE_CHECKING:
@@ -101,8 +103,7 @@ def build_parser() -> _Parser:
                       ("--lm-C", float), ("--ajl-p", int), ("--ajl-kn", int),
                       ("--sigma-rj-paths", int), ("--seed", int)):
         pd.add_argument(flag, type=typ, default=None)
-    pd.add_argument("--bonferroni", choices=("within-day", "corpus", "off"),
-                    default=None)
+    pd.add_argument("--bonferroni", choices=("within-day", "off"), default=None)
 
     pa = sub.add_parser("analyze", help="tables from a catalog + store")
     pa.add_argument("--store", required=True)
@@ -207,8 +208,8 @@ def cmd_detect(args) -> int:
     store = _open_store(args.store)
     symbols = store.symbols()
     if args.symbols is not None:
-        # a typo must neither pass as a finished run nor widen the Bonferroni
-        # family, and a repeated symbol must not test its days twice
+        # a typo must not pass as a finished run, and a repeated symbol must
+        # not test its days twice
         requested = list(dict.fromkeys(s.strip() for s in args.symbols.split(",")
                                        if s.strip()))
         unknown = [s for s in requested if s not in symbols]
@@ -224,6 +225,13 @@ def cmd_detect(args) -> int:
         log.warning("no stored days to detect; writing an empty catalog")
     verdicts = pipeline.run_range(store, symbols, days, cfg, args.out)
     print(pipeline.render_symbol_summary(verdicts), end="")
+    failed = [v for v in verdicts if v.reason.startswith("error:")]
+    if failed and not any(v.tested for v in verdicts):
+        # a broken install or store must not pass as a run of untestable days
+        first = failed[0]
+        print(f"error: no day was tested; {len(failed)} of {len(verdicts)} failed, the "
+              f"first {first.symbol} {first.utc_date}: {first.reason}", file=sys.stderr)
+        return EXIT_IO
     return EXIT_OK
 
 
@@ -274,6 +282,20 @@ def cmd_report(args) -> int:
     records = load_catalog(args.catalog)
     tables = sorted(f for f in Path(args.tables).iterdir() if f.is_file()) if args.tables else []
     events = _load_events(args.events)
+    out = Path(args.out)
+    bundled = out / "catalog.jsonl"
+    # a concatenated catalog has neither sidecar file
+    sidecars = [s for s in (manifest_path, removals_path) if s(args.catalog).exists()]
+    # a bundle must not pair this catalog with an earlier one's files
+    stale = [s(bundled).name for s in (manifest_path, removals_path)
+             if s not in sidecars and s(bundled).exists()]
+    if (out / "tables").is_dir():
+        written = {f.name for f in tables}
+        stale += sorted(f"tables/{f.name}" for f in (out / "tables").iterdir()
+                        if f.name not in written)
+    if stale:
+        raise OSError(f"{out} holds {len(stale)} file(s) this report would not write, "
+                      f"the first {stale[0]}; remove them or choose another --out")
 
     # timeline: each date's jump count over all symbols, with its event labels
     per_day: dict[str, int] = {}
@@ -282,12 +304,10 @@ def cmd_report(args) -> int:
     event_days: dict[str, list[str]] = {}
     for ts, label in events:
         event_days.setdefault(utc_date(ts).isoformat(), []).append(label)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    shutil.copyfile(args.catalog, out / "catalog.jsonl")
-    manifest = manifest_path(args.catalog)
-    if manifest.exists():
-        shutil.copyfile(manifest, manifest_path(out / "catalog.jsonl"))
+    shutil.copyfile(args.catalog, bundled)
+    for sidecar in sidecars:
+        shutil.copyfile(sidecar(args.catalog), sidecar(bundled))
     if args.tables:
         (out / "tables").mkdir(exist_ok=True)
         for f in tables:

@@ -26,7 +26,7 @@ class RunConfig:
     lm_C: float = 0.05
     ajl_p: int = 4
     ajl_kn: int = 100
-    bonferroni: str = "within-day"      # "within-day" | "corpus" | "off"
+    bonferroni: str = "within-day"      # "within-day" | "off"
     # sigma_rj_paths and seed configure only the AJL Monte-Carlo fallback,
     # used where the committed null-std table does not cover a day
     sigma_rj_paths: int = 200
@@ -49,8 +49,8 @@ class RunConfig:
                 raise ConfigError(f"{name} must be positive")
         if self.dedup_window < 0:
             raise ConfigError("dedup_window must be >= 0")
-        if self.bonferroni not in ("within-day", "corpus", "off"):
-            raise ConfigError("bonferroni must be within-day, corpus, or off")
+        if self.bonferroni not in ("within-day", "off"):
+            raise ConfigError("bonferroni must be within-day or off")
         self.ajl_params()       # AjlParams checks the AJL settings, once per run
 
     # -- construction ---------------------------------------------------

@@ -61,7 +61,6 @@ class LmParams:
     C: float = 0.05
     alpha: float = 0.999
     bonferroni: bool = True
-    family_multiplier: int = 1   # >1 spreads the correction over a multi-day family
 
     def __post_init__(self):
         if not K_MIN <= self.k <= K_MAX:
@@ -70,15 +69,12 @@ class LmParams:
             raise ValueError("M must be >= 1")
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must be in (0, 1)")
-        if self.family_multiplier < 1:
-            raise ValueError("family_multiplier must be >= 1")
 
     @classmethod
     def for_series(cls, n: int, k: int, C: float = 0.05, alpha: float = 0.999,
-                   bonferroni: bool = True, family_multiplier: int = 1) -> "LmParams":
+                   bonferroni: bool = True) -> "LmParams":
         M = max(1, round(C * sqrt(n // k)))
-        return cls(k=k, M=M, C=C, alpha=alpha, bonferroni=bonferroni,
-                   family_multiplier=family_multiplier)
+        return cls(k=k, M=M, C=C, alpha=alpha, bonferroni=bonferroni)
 
 
 @dataclass
@@ -95,7 +91,6 @@ class LmDayResult:
     """One day's scan: ``pbar``, ``chi``, ``xi`` and ``starts`` hold one entry per
     block increment j (block j to block j + 1)."""
 
-    params: LmParams
     noise: NoiseEstimate
     n_blocks: int            # floor(n / (k M)), the family size in A_n/B_n
     a_n: float
@@ -233,7 +228,7 @@ def lm_scan(log_prices: np.ndarray, params: LmParams,
     xi = (np.abs(chi) - a_n) / b_n
 
     if params.bonferroni:
-        level = 1.0 - (1.0 - params.alpha) / (L * params.family_multiplier)
+        level = 1.0 - (1.0 - params.alpha) / L
     else:
         level = params.alpha
     threshold = gumbel_quantile(level)
@@ -241,8 +236,8 @@ def lm_scan(log_prices: np.ndarray, params: LmParams,
     step = k * M                # block j starts at tick j * step
     starts = (None if timestamps_ns is None
               else np.asarray(timestamps_ns)[:len(pbar) * step:step])
-    return LmDayResult(params=params, noise=noise, n_blocks=L, a_n=a_n, b_n=b_n,
-                       threshold=threshold, pbar=pbar, chi=chi, xi=xi, starts=starts)
+    return LmDayResult(noise=noise, n_blocks=L, a_n=a_n, b_n=b_n, threshold=threshold,
+                       pbar=pbar, chi=chi, xi=xi, starts=starts)
 
 
 def dedup_consecutive(moments: np.ndarray, window: int = 10) -> list[int]:

@@ -30,8 +30,7 @@ if TYPE_CHECKING:
 log = logging.getLogger(__name__)
 
 
-def detect_day(series: AggregatedSeries, cfg: RunConfig,
-               family_multiplier: int = 1) -> DayVerdict:
+def detect_day(series: AggregatedSeries, cfg: RunConfig) -> DayVerdict:
     """Full per-day chain on an aggregated series (pure given config).
 
     preprocess -> moment scan + dedup -> day-level test -> combination.
@@ -65,7 +64,7 @@ def detect_day(series: AggregatedSeries, cfg: RunConfig,
         k = lm.select_k(filtered.log_prices)
         params = lm.LmParams.for_series(
             n=len(filtered), k=k, C=cfg.lm_C, alpha=cfg.alpha,
-            bonferroni=cfg.bonferroni != "off", family_multiplier=family_multiplier)
+            bonferroni=cfg.bonferroni != "off")
         scan = lm.lm_scan(filtered.log_prices, params,
                           timestamps_ns=filtered.timestamps_ns)
     except DayRejected as exc:
@@ -161,13 +160,11 @@ def run_range(store: TickStore, symbols: list[str], dates: list[date],
               cfg: RunConfig, catalog_path) -> list[DayVerdict]:
     """Detect over a symbol-date grid; day failures never abort the run.
 
-    With ``bonferroni="corpus"`` the correction family is all requested
-    symbol-days rather than one day's blocks.  Verdicts stream to the
-    JSON-lines catalog as they complete, each day's removed points to
-    the removal log beside it in the same step, and a completion
-    manifest is written next to the catalog even on interruption.
+    Verdicts stream to the JSON-lines catalog as they complete, each
+    day's removed points to the removal log beside it in the same step,
+    and a completion manifest is written next to the catalog even on
+    interruption.
     """
-    family = max(1, len(symbols) * len(dates)) if cfg.bonferroni == "corpus" else 1
     verdicts: list[DayVerdict] = []
     Path(catalog_path).parent.mkdir(parents=True, exist_ok=True)
     total = len(symbols) * len(dates)
@@ -178,8 +175,7 @@ def run_range(store: TickStore, symbols: list[str], dates: list[date],
         try:
             for symbol, day in product(symbols, dates):
                 try:
-                    v = detect_day(load_day(store, symbol, day), cfg,
-                                   family_multiplier=family)
+                    v = detect_day(load_day(store, symbol, day), cfg)
                 except Exception as exc:   # report, keep going
                     log.error("day %s %s failed: %s", symbol, day, exc)
                     v = DayVerdict(symbol=symbol, utc_date=day, tested=False,

@@ -11,9 +11,8 @@ import pytest
 
 from ajl_oracles import rho_residuals, vbar_reference
 from hfjumps import ajl as ajl_module
-from hfjumps.ajl import (PARABOLA, TRIANGLE, AjlParams,
-                         _fast_len, _power_variations, absolute_normal_moment,
-                         ajl_constants, ajl_test, solve_rho, vbar)
+from hfjumps.ajl import (PARABOLA, TRIANGLE, AjlParams, _power_variations,
+                         absolute_normal_moment, ajl_constants, ajl_test, solve_rho, vbar)
 from hfjumps.errors import ConfigError, DayRejected
 from hfjumps.preprocess import DAY_SECONDS, FREQUENCIES
 
@@ -152,19 +151,14 @@ def test_vbar_iid_gaussian_matches_reference_17280():
     assert got == pytest.approx(want, rel=1e-10, abs=0)
 
 
-def test_fast_len_is_smallest_5_smooth_at_least_n():
-    def smooth(m):
-        for f in (2, 3, 5):
-            while m % f == 0:
-                m //= f
-        return m == 1
-
-    for n in range(1, 3000):
-        want = next(m for m in range(n, 2 * n + 1) if smooth(m))
-        assert _fast_len(n) == want, n
-    assert _fast_len(86_399) == 86_400          # prime
-    assert _fast_len(17_279) == 17_280
-    assert _fast_len(86_400) == 86_400
+def test_every_day_grid_has_a_5_smooth_price_count():
+    # _power_variations pads to the price count, a fast FFT length on these grids
+    for f in FREQUENCIES:
+        m = DAY_SECONDS // f
+        for factor in (2, 3, 5):
+            while m % factor == 0:
+                m //= factor
+        assert m == 1, f
 
 
 @pytest.mark.parametrize("n", [1_009, 1_080, 100])   # prime, 5-smooth, N == k_n

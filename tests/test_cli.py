@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hfjumps.catalog import RECORD_KEYS, removals_path
+from hfjumps import ajl as ajl_module, pipeline
+from hfjumps.catalog import RECORD_KEYS, manifest_path, removals_path
 from hfjumps.cli import BLAS_THREAD_VARS, _resolve_config, build_parser, main
 from hfjumps.config import RunConfig
 from hfjumps.pipeline import load_day
@@ -35,6 +36,14 @@ def test_unknown_flag_usage_error():
     with pytest.raises(SystemExit) as exc:
         run("detect", "--store", "x", "--out", "y", "--no-such-flag")
     assert exc.value.code == 1
+
+
+def test_bonferroni_corpus_is_a_usage_error(capsys):
+    # one day's threshold must not depend on how many days the run holds
+    with pytest.raises(SystemExit) as exc:
+        run("detect", "--store", "x", "--out", "y", "--bonferroni", "corpus")
+    assert exc.value.code == 1
+    assert "invalid choice: 'corpus'" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_usage_error():
@@ -70,7 +79,7 @@ def test_only_detect_takes_a_config(tmp_path, command):
 def test_every_detect_flag_sets_its_config_field():
     non_default = {"--alpha": 0.99, "--coverage": 0.9, "--sd-cutoff": 8.0,
                    "--dedup-window": 5, "--lm-C": 0.1, "--ajl-p": 6, "--ajl-kn": 50,
-                   "--bonferroni": "corpus", "--sigma-rj-paths": 100, "--seed": 5}
+                   "--bonferroni": "off", "--sigma-rj-paths": 100, "--seed": 5}
     parser = build_parser()
     detect = next(a for a in parser._actions
                   if isinstance(a, argparse._SubParsersAction)).choices["detect"]
@@ -99,7 +108,8 @@ def test_every_detect_flag_sets_its_config_field():
     ({"lm_C": float("-inf")}, "lm_C"), ({"lm_C": 0}, "lm_C"), ({"lm_C": -0.05}, "lm_C"),
     ({"bounceback_reversal": float("nan")}, "bounceback_reversal"),
     ({"bounceback_reversal": float("inf")}, "bounceback_reversal"),
-    ({"bounceback_reversal": float("-inf")}, "bounceback_reversal")])
+    ({"bounceback_reversal": float("-inf")}, "bounceback_reversal"),
+    ({"bonferroni": "corpus"}, "bonferroni")])
 def test_config_file_values_are_type_checked(spiked, tmp_path, capsys, doc, field):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
@@ -348,6 +358,42 @@ def test_detect_of_a_known_symbol_without_days_in_range_is_empty(btc_store, tmp_
     assert out.read_text() == ""
     assert json.loads(out.with_name("catalog.jsonl.manifest.json").read_text())["complete"]
     assert "no stored days to detect" in caplog.text
+
+
+def test_detect_exits_2_when_no_day_is_tested_and_one_failed(btc_store, tmp_path,
+                                                              monkeypatch, capsys):
+    # an install without the null-std table fails every day
+    monkeypatch.setattr(ajl_module, "NULL_TABLE", "absent.csv")
+    ajl_module._null_table.cache_clear()
+    out = tmp_path / "catalog.jsonl"
+    try:
+        assert run("detect", "--store", str(btc_store), "--out", str(out)) == 2
+    finally:
+        ajl_module._null_table.cache_clear()
+    assert capsys.readouterr().err.endswith(
+        "error: no day was tested; 2 of 2 failed, the first BTC 2021-01-01: "
+        "error:FileNotFoundError\n")
+    recs = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [r["reason"] for r in recs] == ["error:FileNotFoundError"] * 2
+    assert json.loads(out.with_name("catalog.jsonl.manifest.json").read_text())["complete"]
+    assert removals_path(out).read_text().splitlines() == ["symbol,date,timestamp_ns,rule,value"]
+
+
+def test_detect_exits_0_when_a_day_is_tested_beside_a_failed_one(btc_store, tmp_path,
+                                                                 monkeypatch):
+    detect_day = pipeline.detect_day
+
+    def second_day_fails(series, cfg):
+        if series.utc_date == date(2021, 1, 2):
+            raise MemoryError("stand-in for any failure of one day")
+        return detect_day(series, cfg)
+
+    monkeypatch.setattr(pipeline, "detect_day", second_day_fails)
+    out = tmp_path / "catalog.jsonl"
+    assert run("detect", "--store", str(btc_store), "--out", str(out)) == 0
+    recs = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [(r["tested"], r["reason"]) for r in recs] == [(True, ""),
+                                                          (False, "error:MemoryError")]
 
 
 def test_verbose_detect_logs_the_calibration_source_per_day(tmp_path, caplog):
@@ -659,6 +705,48 @@ def test_report_on_unreadable_tables_is_an_io_error_and_writes_nothing(spiked, t
                "--tables", str(tables), "--out", str(tmp_path / "r")) == 2
     assert capsys.readouterr().err.startswith("i/o error: ")
     assert not (tmp_path / "r").exists()
+
+
+def test_report_bundle_copies_the_catalogs_sidecar_files(spiked, tmp_path, capsys):
+    catalog = tmp_path / "catalog.jsonl"
+    assert len(detect_spiked_day(spiked, catalog)) == 1
+    bundle = tmp_path / "r"
+    assert run("report", "--catalog", str(catalog), "--out", str(bundle)) == 0
+    for sidecar in (manifest_path, removals_path):
+        assert sidecar(bundle / "catalog.jsonl").read_bytes() == sidecar(catalog).read_bytes()
+    # a concatenated catalog has neither, so it goes into a new bundle, not
+    # beside the sidecar files of another catalog
+    concatenated = str(spiked / "catalog.jsonl")
+    before = {p: p.read_bytes() for p in bundle.iterdir()}
+    capsys.readouterr()
+    assert run("report", "--catalog", concatenated, "--out", str(bundle)) == 2
+    assert capsys.readouterr().err == (
+        f"i/o error: {bundle} holds 2 file(s) this report would not write, the first "
+        "catalog.jsonl.manifest.json; remove them or choose another --out\n")
+    assert {p: p.read_bytes() for p in bundle.iterdir()} == before
+    assert run("report", "--catalog", concatenated, "--out", str(tmp_path / "r2")) == 0
+    assert sorted(p.name for p in (tmp_path / "r2").iterdir()) == ["catalog.jsonl",
+                                                                   "timeline.csv"]
+
+
+def test_report_refuses_to_pair_a_catalog_with_anothers_tables(e2e, tmp_path, capsys):
+    bundle = tmp_path / "report"
+    assert run("report", "--catalog", str(e2e / "catalog.jsonl"),
+               "--tables", str(e2e / "tables"), "--out", str(bundle)) == 0
+    redetect = tmp_path / "redetect.jsonl"
+    assert run("detect", "--store", str(e2e / "store"), "--out", str(redetect),
+               "--alpha", "0.9999") == 0
+    before = {p: p.read_bytes() for p in bundle.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    assert run("report", "--catalog", str(redetect), "--out", str(bundle)) == 2
+    err = capsys.readouterr().err
+    assert err == (f"i/o error: {bundle} holds 18 file(s) this report would not write, the "
+                   "first tables/extreme_jumps.csv; remove them or choose another --out\n")
+    assert {p: p.read_bytes() for p in bundle.rglob("*") if p.is_file()} == before
+    # a rerun that writes the same tables still succeeds
+    assert run("report", "--catalog", str(redetect), "--tables", str(e2e / "tables"),
+               "--out", str(bundle)) == 0
+    assert (bundle / "catalog.jsonl").read_bytes() == redetect.read_bytes()
 
 
 # ---------------------------------------------------------------------------
