@@ -46,7 +46,7 @@ def main():
         noise = scan.noise
         print(f"k={k} (autocorrelation rule), M={params.M}, "
               f"q_hat={np.sqrt(noise.q_hat_sq):.6f}, "
-              f"sigma_hat={np.sqrt(noise.sigma_hat_sq):.4f}, V_n={noise.v_n:.3e}")
+              f"sigma_hat={np.sqrt(noise.sigma_hat_sq):.4f}, V_n={scan.v_n:.3e}")
         print(f"blocks={scan.n_blocks}, max xi={scan.xi.max():.2f}, "
               f"threshold={scan.threshold:.2f} (Bonferroni within day)")
         accepted = dedup_consecutive(scan.moments)

@@ -30,14 +30,15 @@ two whose gamma'' exceeds 1.  The constants are ratios of the weights' moments
 A closed-form plug-in for Sigma_RJ needs weight-pair moment functionals
 that lack a tractable expression, so ``sqrt(Sigma_RJ)`` is estimated
 under the null instead: the sample standard deviation of S_RJ over
-simulated continuous noisy paths at the day's length and estimated
-noise-to-volatility ratio (divided by Delta_n^{1/4} to match the
-critical-value scaling).  S_RJ is scale invariant, so that law depends
-on (sigma, q) only through q/sigma.  For the default k_n and p on the
-four grid lengths of a day, the std comes from the committed table
-``data/ajl_null_std.csv`` (written by ``scripts/make_ajl_null_table.py``),
-interpolated in q/sigma up to its last node, q/sigma = 1.  Any other day
-falls back to a seeded, memoized Monte Carlo of ``sigma_rj_paths`` paths.
+simulated continuous noisy paths at the day's length and plug-in
+noise-to-volatility ratio, ``noise.plugin_noise_ratio`` (divided by
+Delta_n^{1/4} to match the critical-value scaling).  S_RJ is scale
+invariant, so that law depends on (sigma, q) only through q/sigma.  For
+the default k_n and p on the four grid lengths of a day, the std comes
+from the committed table ``data/ajl_null_std.csv`` (written by
+``scripts/make_ajl_null_table.py``), interpolated in q/sigma up to its
+last node, q/sigma = 1.  Any other day falls back to a seeded, memoized
+Monte Carlo of ``sigma_rj_paths`` paths.
 
 Both window sums are correlations of the returns (and of their squares)
 with a fixed weight, computed with numpy's real FFT.  A chunk of paths
@@ -53,7 +54,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import logging
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -66,8 +66,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, DayRejected
-
-logger = logging.getLogger(__name__)
+from .noise import plugin_noise_ratio
 
 
 # ---------------------------------------------------------------------------
@@ -404,53 +403,10 @@ def _calibrate(n_prices: int, params: AjlParams, ratio_key: str) -> tuple[float,
     if found is not None:
         std, source = found
         return std, _mc_seed(("table", _null_table().digest, *key, *WEIGHTS, ratio_key)), source
-    info = getattr(_null_srj_std, "cache_info", None)    # None for an unmemoized stand-in
-    misses = info().misses if info else None
+    misses = _null_srj_std.cache_info().misses
     std, seed = _null_srj_std(*key, ratio_key, params.sigma_rj_paths, params.base_seed)
-    outcome = "hit" if info and info().misses == misses else "miss"
+    outcome = "hit" if _null_srj_std.cache_info().misses == misses else "miss"
     return std, seed, f"monte carlo key {ratio_key} {outcome}"
-
-
-CLIP_SDS = 10.0     # plug-in returns are clipped at this many robust SDs
-
-
-def _median(x: np.ndarray) -> float:
-    """``np.median`` of a 1-D float array, bit for bit: the same partition and mean.
-
-    ``np.median`` imports ``numpy.ma`` on first use, at ~0.015 CPU-s a process.
-    """
-    n = len(x)
-    if n == 0:
-        return np.nan
-    half = n // 2
-    part = np.partition(x, ([half] if n % 2 else [half - 1, half]) + [-1])
-    if np.isnan(part[-1]):            # a NaN sorts last; np.median returns it
-        return float(part[-1])
-    return float(np.mean(part[half - 1 + n % 2:half + 1]))
-
-
-def plugin_noise_ratio(log_prices: np.ndarray) -> float:
-    """q/sigma plug-in for the null calibration, robust to in-sample jumps.
-
-    Returns are clipped at ``CLIP_SDS`` robust standard deviations
-    (1.4826 * MAD) before the two-scale noise/volatility estimation, so
-    a genuine jump in the day cannot zero out the volatility estimate.
-    Only the calibration uses this; the statistic itself sees raw data.
-    """
-    from .lee_mykland import estimate_noise
-
-    p = np.asarray(log_prices, dtype=float)
-    r = np.diff(p)
-    scale = 1.4826 * _median(np.abs(r))
-    if scale > 0:
-        r = np.clip(r, -CLIP_SDS * scale, CLIP_SDS * scale)
-    clipped = np.concatenate(([p[0]], p[0] + np.cumsum(r)))
-    est = estimate_noise(clipped, k=1)
-    q = sqrt(est.q_hat_sq)
-    sig = sqrt(est.sigma_hat_sq)
-    if sig == 0:
-        return np.inf if q > 0 else 0.0
-    return q / sig
 
 
 # ---------------------------------------------------------------------------

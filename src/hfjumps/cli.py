@@ -293,6 +293,8 @@ def cmd_report(args) -> int:
         written = {f.name for f in tables}
         stale += sorted(f"tables/{f.name}" for f in (out / "tables").iterdir()
                         if f.name not in written)
+    if args.tables and Path(args.tables).resolve() == (out / "tables").resolve():
+        raise OSError(f"--tables {args.tables} is the bundle's own tables/; choose another --out")
     if stale:
         raise OSError(f"{out} holds {len(stale)} file(s) this report would not write, "
                       f"the first {stale[0]}; remove them or choose another --out")

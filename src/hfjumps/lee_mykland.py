@@ -9,8 +9,8 @@ structure), averages blocks of ``M`` subsamples into pre-averaged prices
     ``P_bar(j) = P_hat(j+1) - P_hat(j)``,
     ``chi(j)  = sqrt(M) * P_bar(j) / sqrt(V_n)``,
 
-where ``V_n`` is the limiting variance ``(2/3) sigma^2 C^2 T + 2 q^2``
-of ``sqrt(M) P_bar`` over one day (T = 1).  Standardized extremes
+where ``V_n = (2/3) sigma^2 C^2 T + 2 q^2`` (q^2, sigma^2 from ``noise``) is
+the limiting variance of ``sqrt(M) P_bar`` over one day (T = 1).  Standardized extremes
 
     ``xi(j) = (|chi(j)| - A_n) / B_n``
 
@@ -26,15 +26,13 @@ References:
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
-from math import asin, log, pi, sqrt
+from math import log, pi, sqrt
 
 import numpy as np
 
 from .errors import DayRejected
-
-logger = logging.getLogger(__name__)
+from .noise import NoiseEstimate, estimate_noise
 
 K_MIN = 3
 K_MAX = 51
@@ -78,20 +76,12 @@ class LmParams:
 
 
 @dataclass
-class NoiseEstimate:
-    """Noise variance, jump-robust volatility, and the plug-in variance term."""
-
-    q_hat_sq: float
-    sigma_hat_sq: float
-    v_n: float
-
-
-@dataclass
 class LmDayResult:
     """One day's scan: ``pbar``, ``chi``, ``xi`` and ``starts`` hold one entry per
     block increment j (block j to block j + 1)."""
 
-    noise: NoiseEstimate
+    noise: NoiseEstimate     # estimate_noise at the scan's k
+    v_n: float               # (2/3) sigma_hat^2 C^2 + 2 q_hat^2, the variance of sqrt(M) P_bar
     n_blocks: int            # floor(n / (k M)), the family size in A_n/B_n
     a_n: float
     b_n: float
@@ -140,50 +130,6 @@ def select_k(log_prices: np.ndarray) -> int:
     return min(max(first_inside + 1, K_MIN), K_MAX)
 
 
-def estimate_noise(log_prices: np.ndarray, k: int, C: float = 0.05) -> NoiseEstimate:
-    """Estimate q^2, sigma^2 and the variance term V_n.
-
-    q^2 is the k-lag difference estimator
-
-        ``q_hat^2 = (1 / (2(n-k))) sum_m (P(m) - P(m+k))^2``
-
-    whose expectation is ``q^2 + sigma^2 k T / (2n)``.  sigma^2 comes
-    from bipower variation at a wider stride ``k_sigma`` (default 10k,
-    capped so at least ~200 subsamples remain), corrected for two noise
-    effects: the moment inflation caused by the MA(1) correlation of
-    noisy adjacent returns (factor ``sqrt(1-rho^2) + rho*asin(rho)`` with
-    ``rho = -q^2/Var(r)``), and the additive noise level.  Subtracting
-    ``2 q_hat^2`` at the wider stride cancels the diffusion bias of
-    q_hat^2 analytically:
-
-        ``sigma_hat^2 = (BV_corr - 2 q_hat^2) * n / (k_sigma - k)``.
-
-    A non-positive estimate is floored at zero (can happen when a large
-    jump inflates q_hat^2; V_n is then conservative).
-    """
-    p = np.asarray(log_prices, dtype=float)
-    n = len(p)
-    if n <= k + 1:
-        raise ValueError(f"need more than k+1={k + 1} observations, got {n}")
-    d = p[: n - k] - p[k:]
-    q2 = float(np.sum(d * d)) / (2 * (n - k))
-
-    k_sigma = max(2 * k, min(10 * k, n // 200))
-    sub = p[::k_sigma]
-    r = np.diff(sub)
-    sigma2 = 0.0
-    if len(r) >= 3:
-        v = float(np.mean(r * r))
-        if v > 0:
-            rho = min(0.0, max(-0.9999, -q2 / v))
-            mu = sqrt(1.0 - rho * rho) + rho * asin(rho)
-            n_pairs = len(r) - 1
-            bv = (pi / 2) / mu * float(np.sum(np.abs(r[:-1]) * np.abs(r[1:]))) / n_pairs
-            sigma2 = max(0.0, (bv - 2.0 * q2) * n / (k_sigma - k))
-    v_n = (2.0 / 3.0) * sigma2 * C * C + 2.0 * q2
-    return NoiseEstimate(q_hat_sq=q2, sigma_hat_sq=sigma2, v_n=v_n)
-
-
 def an_bn(n: int, k: int, M: int) -> tuple[float, float, int]:
     """Gumbel standardization constants for a day of n ticks.
 
@@ -204,9 +150,6 @@ def lm_scan(log_prices: np.ndarray, params: LmParams,
             timestamps_ns: np.ndarray | None = None) -> LmDayResult:
     """Scan one day of tick log prices for jump moments.
 
-    The noise estimate is ``estimate_noise`` at ``params.k`` and
-    ``params.C``, returned as the result's ``noise``.
-
     Block means are differenced element-wise (mean of ``block[j+1][i] -
     block[j][i]``), which is algebraically ``P_hat(j+1) - P_hat(j)`` and
     keeps the statistic exactly invariant under a constant shift of the
@@ -216,15 +159,16 @@ def lm_scan(log_prices: np.ndarray, params: LmParams,
     n = len(p)
     k, M = params.k, params.M
     a_n, b_n, L = an_bn(n, k, M)
-    noise = estimate_noise(p, k, C=params.C)
-    if noise.v_n <= 0:
+    noise = estimate_noise(p, k)
+    v_n = (2.0 / 3.0) * noise.sigma_hat_sq * params.C * params.C + 2.0 * noise.q_hat_sq
+    if v_n <= 0:
         raise DayRejected("lm_flat", "V_n is zero (flat day)")
 
     sub = p[::k]
     n_blocks = len(sub) // M    # >= L, as len(sub) >= n // k
     blocks = sub[: n_blocks * M].reshape(n_blocks, M)
     pbar = np.mean(blocks[1:] - blocks[:-1], axis=1)
-    chi = pbar * (sqrt(M) / sqrt(noise.v_n))
+    chi = pbar * (sqrt(M) / sqrt(v_n))
     xi = (np.abs(chi) - a_n) / b_n
 
     if params.bonferroni:
@@ -236,8 +180,8 @@ def lm_scan(log_prices: np.ndarray, params: LmParams,
     step = k * M                # block j starts at tick j * step
     starts = (None if timestamps_ns is None
               else np.asarray(timestamps_ns)[:len(pbar) * step:step])
-    return LmDayResult(noise=noise, n_blocks=L, a_n=a_n, b_n=b_n, threshold=threshold,
-                       pbar=pbar, chi=chi, xi=xi, starts=starts)
+    return LmDayResult(noise=noise, v_n=v_n, n_blocks=L, a_n=a_n, b_n=b_n,
+                       threshold=threshold, pbar=pbar, chi=chi, xi=xi, starts=starts)
 
 
 def dedup_consecutive(moments: np.ndarray, window: int = 10) -> list[int]:

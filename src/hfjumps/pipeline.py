@@ -90,7 +90,7 @@ def detect_day(series: AggregatedSeries, cfg: RunConfig) -> DayVerdict:
         "n_blocks": scan.n_blocks,
         "q_hat_sq": scan.noise.q_hat_sq,
         "sigma_hat_sq": scan.noise.sigma_hat_sq,
-        "v_n": scan.noise.v_n,
+        "v_n": scan.v_n,
         "jumps": [{"time": int(scan.starts[j]), "size": float(scan.pbar[j]),
                    "xi": float(scan.xi[j])} for j in deduped],
     }

@@ -21,7 +21,8 @@ from hfjumps.ajl import (PARABOLA, TRIANGLE, AjlParams, ajl_constants, ajl_test,
                          solve_rho, vbar)
 from hfjumps.analytics import PanelRow, fe_regression
 from hfjumps.config import RunConfig
-from hfjumps.lee_mykland import LmParams, dedup_consecutive, estimate_noise, lm_scan, select_k
+from hfjumps.lee_mykland import LmParams, dedup_consecutive, lm_scan, select_k
+from hfjumps.noise import estimate_noise
 from hfjumps.preprocess import (DAY_SECONDS, AggregatedSeries, make_equispaced,
                                 select_frequency)
 from hfjumps.simulate import SimConfig, simulate_day, tick_timestamps_ns
@@ -237,7 +238,7 @@ def test_criterion_noise_estimator():
     vns = []
     for seed in range(100):
         sim = simulate_day(SimConfig(sigma=SIGMA, q=Q, n=N_DAY, seed=500_000 + seed))
-        vns.append(estimate_noise(sim.observed, k=3, C=C).v_n)
+        vns.append(lm_scan(sim.observed, LmParams.for_series(N_DAY, 3, C=C)).v_n)
     v_err = abs(np.mean(vns) / target - 1)
     report("noise-estimator", q_err < 0.05 and v_err < 0.10,
            f"q rel err={q_err:.4f} (<5%), V_n rel err={v_err:.4f} (<10%)")

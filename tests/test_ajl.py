@@ -3,6 +3,7 @@ import importlib.util
 import subprocess
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, sqrt
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 
 from ajl_oracles import rho_residuals, vbar_reference
 from hfjumps import ajl as ajl_module
+from hfjumps import noise
 from hfjumps.ajl import (PARABOLA, TRIANGLE, AjlParams, _power_variations,
                          absolute_normal_moment, ajl_constants, ajl_test, solve_rho, vbar)
 from hfjumps.errors import ConfigError, DayRejected
@@ -267,7 +269,7 @@ def test_ajl_test_z_matches_scipy_norm_ppf(monkeypatch):
 
     # a null std of 1 at n = 2^12 makes Delta_n^{1/4} = 2^-3 and
     # sqrt(Sigma_RJ) = 2^3, so critical = gamma'' - z up to one rounding
-    monkeypatch.setattr(ajl_module, "_null_srj_std", lambda *key: (1.0, 0))
+    monkeypatch.setattr(ajl_module, "_null_srj_std", lru_cache(lambda *key: (1.0, 0)))
     path = noisy_path(8, n=4_096)
     for alpha in (0.9, 0.99, 0.999, 0.9999):
         res = ajl_test(path, AjlParams(alpha=alpha, k_n=20, sigma_rj_paths=8))
@@ -352,7 +354,7 @@ def test_uncovered_days_go_to_the_monte_carlo(monkeypatch, n, k_n, key):
         calls.append(args)
         return 0.5, 7
 
-    monkeypatch.setattr(ajl_module, "_null_srj_std", fake)
+    monkeypatch.setattr(ajl_module, "_null_srj_std", lru_cache(fake))
     params = AjlParams(k_n=k_n, sigma_rj_paths=40, base_seed=3)
     assert ajl_module._table_std(n, k_n, 4, key) is None
     std, seed, source = ajl_module._calibrate(n, params, key)
@@ -365,9 +367,9 @@ def test_covered_day_seed_names_the_table_and_node(monkeypatch):
     def boom(*args):
         raise AssertionError("Monte Carlo called for a covered day")
 
-    monkeypatch.setattr(ajl_module, "_null_srj_std", boom)
+    monkeypatch.setattr(ajl_module, "_null_srj_std", lru_cache(boom))
     res = ajl_test(noisy_path(6), AjlParams())
-    ratio_key = ajl_module._quantize_ratio(ajl_module.plugin_noise_ratio(noisy_path(6)))
+    ratio_key = ajl_module._quantize_ratio(noise.plugin_noise_ratio(noisy_path(6)))
     digest = ajl_module._null_table().digest
     assert res.mc_seed == ajl_module._mc_seed(
         ("table", digest, 17_280, *DEFAULT_KEY, "parabola", "triangle", ratio_key))

@@ -749,6 +749,29 @@ def test_report_refuses_to_pair_a_catalog_with_anothers_tables(e2e, tmp_path, ca
     assert (bundle / "catalog.jsonl").read_bytes() == redetect.read_bytes()
 
 
+def test_report_refuses_the_bundles_own_tables_and_writes_nothing(e2e, spiked, tmp_path,
+                                                                   capsys):
+    bundle = tmp_path / "report"
+    assert run("report", "--catalog", str(e2e / "catalog.jsonl"),
+               "--tables", str(e2e / "tables"), "--out", str(bundle)) == 0
+    other = tmp_path / "other.jsonl"
+    detect_spiked_day(spiked, other)
+    before = {p: p.read_bytes() for p in bundle.rglob("*") if p.is_file()}
+    assert {bundle / "catalog.jsonl", manifest_path(bundle / "catalog.jsonl"),
+            removals_path(bundle / "catalog.jsonl")} <= set(before)
+    # the same catalog, another one with its own sidecar files, and the
+    # tables named through another spelling of the same directory
+    for catalog, tables in ((e2e / "catalog.jsonl", bundle / "tables"),
+                            (other, bundle / "tables"),
+                            (other, bundle / ".." / bundle.name / "tables")):
+        capsys.readouterr()
+        assert run("report", "--catalog", str(catalog), "--tables", str(tables),
+                   "--out", str(bundle)) == 2
+        assert capsys.readouterr().err == (f"i/o error: --tables {tables} is the bundle's "
+                                           "own tables/; choose another --out\n")
+        assert {p: p.read_bytes() for p in bundle.rglob("*") if p.is_file()} == before
+
+
 # ---------------------------------------------------------------------------
 # process start-up: the modules each command loads, one BLAS thread, and
 # artifacts that do not depend on the thread count
@@ -818,11 +841,11 @@ def startup_inputs(tmp_path_factory):
 
 READ_PATH = {"catalog", "errors", "pipeline", "preprocess", "tickstore"}
 COMMAND_MODULES = {
-    # none of ajl, analytics, config, lee_mykland, pipeline, preprocess or
-    # simulate
+    # none of ajl, analytics, config, lee_mykland, noise, pipeline, preprocess
+    # or simulate
     "ingest": {"catalog", "errors", "tickstore"},
     "simulate": {"catalog", "errors", "simulate"},
-    "detect": READ_PATH | {"ajl", "config", "lee_mykland"},
+    "detect": READ_PATH | {"ajl", "config", "lee_mykland", "noise"},
     # the catalog and store readers only: neither jump test, no config
     "analyze": READ_PATH | {"analytics"},
     # reads JSON lines and an events CSV: no numpy

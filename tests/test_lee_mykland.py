@@ -1,4 +1,4 @@
-"""Moment-level jump test: k selection, noise estimation, scan, dedup."""
+"""Moment-level jump test: k selection, scan, dedup."""
 from math import log, pi, sqrt
 
 import numpy as np
@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hfjumps.errors import DayRejected
-from hfjumps.lee_mykland import (LmParams, an_bn, dedup_consecutive,
-                                 estimate_noise, gumbel_quantile, lm_scan,
-                                 select_k)
+from hfjumps.lee_mykland import (LmParams, an_bn, dedup_consecutive, gumbel_quantile,
+                                 lm_scan, select_k)
 
 
 def acf_oracle(returns, max_lag):
@@ -73,39 +72,6 @@ def test_select_k_long_memory_clamps_to_51():
 def test_select_k_short_series_rejected():
     with pytest.raises(DayRejected):
         select_k(np.zeros(999))
-
-
-# ---------------------------------------------------------------------------
-# estimate_noise
-# ---------------------------------------------------------------------------
-
-def test_estimate_noise_constant_series_zero():
-    est = estimate_noise(np.full(5000, 4.6), k=3)
-    assert est.q_hat_sq == 0.0
-    assert est.sigma_hat_sq == 0.0
-    assert est.v_n == 0.0
-
-
-def test_estimate_noise_formula_exact_small_case():
-    # q_hat^2 = (1/(2(n-k))) sum (P_m - P_{m+k})^2, verified term by term
-    p = np.array([1.0, 2.0, 4.0, 7.0, 11.0, 16.0])
-    k = 2
-    want = ((1 - 4) ** 2 + (2 - 7) ** 2 + (4 - 11) ** 2 + (7 - 16) ** 2) / (2 * 4)
-    est = estimate_noise(p, k=k)
-    assert est.q_hat_sq == pytest.approx(want, rel=1e-15)
-
-
-def test_estimate_noise_pure_noise_recovers_q():
-    rng = np.random.default_rng(4)
-    q = 0.001
-    qs = [sqrt(estimate_noise(q * rng.standard_normal(86_400), k=3).q_hat_sq)
-          for _ in range(5)]
-    assert abs(np.mean(qs) / q - 1) < 0.05
-
-
-def test_estimate_noise_requires_enough_points():
-    with pytest.raises(ValueError):
-        estimate_noise(np.array([1.0, 2.0]), k=2)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +189,7 @@ def test_lm_scan_moments_match_a_per_block_construction(seed, n, k, M, alpha, ju
     want = []
     for j in range(len(sub) // M - 1):
         pbar = float(np.mean(sub[(j + 1) * M:(j + 2) * M] - sub[j * M:(j + 1) * M]))
-        chi = pbar * (sqrt(M) / sqrt(res.noise.v_n))
+        chi = pbar * (sqrt(M) / sqrt(res.v_n))
         xi = (abs(chi) - res.a_n) / res.b_n
         want.append((None if ts is None else int(ts[min(j * k * M, n - 1)]),
                      pbar, chi, xi, xi > res.threshold))

@@ -1,6 +1,7 @@
 """Orchestration: per-day verdicts, combination rule, catalog determinism."""
 import json
 from datetime import date, timedelta
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -78,7 +79,7 @@ def test_default_detect_day_runs_no_monte_carlo(monkeypatch, n, freq):
     def boom(*args):
         raise AssertionError("the null calibration ran a Monte Carlo")
 
-    monkeypatch.setattr(ajl, "_null_srj_std", boom)
+    monkeypatch.setattr(ajl, "_null_srj_std", lru_cache(boom))
     for seed, jumps in ((36, None), (37, [(0.5, 0.03)])):
         v = detect_day(sim_series(seed, n=n, jumps=jumps), RunConfig())
         assert v.tested and v.frequency_s == freq
