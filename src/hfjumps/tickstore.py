@@ -9,31 +9,38 @@ epoch nanoseconds; input may be ISO-8601 UTC or epoch nanoseconds
 detection is logged).
 
 A file is read as UTF-8 whatever the locale, a leading byte order mark
-dropped, ``CHUNK_ROWS`` lines at a time.  A chunk of plain lines is split
-into cells by numpy on its bytes: plain means no quote, NUL, byte >= 0x80
-or CR outside a CRLF, no line longer than ``csv.field_size_limit()``, and
-on every non-blank line one comma fewer than the header has names.  From
-the first chunk that is not plain (the header included) to the end of the
-file, ``csv.reader`` reads the text, since a quoted cell can span lines;
-line numbers carry on.  Blank lines are skipped either way.
+dropped, ``CHUNK_ROWS`` lines at a time, cut from 64 KiB reads.  A chunk
+of plain lines is split into cells by numpy on its bytes: plain means no
+quote, NUL, byte >= 0x80 or CR outside a CRLF, no line longer than
+``csv.field_size_limit()``, and on every non-blank line one comma fewer
+than the header has names.  From the first chunk that is not plain (the
+header included) to the end of the file, ``csv.reader`` reads the text,
+since a quoted cell can span lines; line numbers carry on.  Blank lines
+are skipped either way.
 
-Both front ends hand each chunk's columns to one parse as fixed-width
-bytes plus cell lengths (``_Cells``).  Epoch stamps that are 10-19 ASCII
-digits are converted through ``astype(int64)``, ISO stamps of the shape
-``YYYY-MM-DD[T ]HH:MM:SS[.f...][Z|z]`` by integer arithmetic on their
-digits, prices through ``float``, and (symbol, exchange)
-pairs are coded with one ``np.unique`` per chunk.  Any other timestamp
-(an offset, surrounding blanks, an impossible date, a value at the ends
-of int64 nanoseconds) goes through the row-level parser,
-``parse_iso_ns`` or ``parse_epoch_ns``, so bulk and row parse accept and
-reject the same cells; a price ``float`` refuses as bytes is read again
-as text.  The reject rules are masks, and only int64, float64 and code
-arrays outlive a chunk.
+Both front ends hand each chunk's columns to one parse as the chunk's
+bytes and each cell's start and length (``_Cells``); each parse reads
+only the bytes it needs.  Timestamps are read per cell length, each byte
+at its offset from the cells' starts: epoch stamps that are 10-19 ASCII
+digits are summed digit by digit, and ISO stamps of the shape
+``YYYY-MM-DD[T ]HH:MM:SS[.f...][Z|z]`` are checked byte by byte, their
+fields summed from their digits and their days counted from tables.
+Prices go through ``float`` on their bytes as ``S``.  (symbol, exchange)
+pairs are keyed by their bytes read as words: rows holding a pair that
+was frequent in the chunk before are found by comparing keys, the rest
+grouped by one ``np.unique``.  Any other timestamp (an offset,
+surrounding blanks, an impossible date, a value at the ends of int64
+nanoseconds) goes through the row-level parser, ``parse_iso_ns`` or
+``parse_epoch_ns``, so bulk and row parse accept and reject the same
+cells; a price ``float`` refuses as bytes is read again as text.  The
+reject rules are masks, and only int64, float64 and code arrays outlive
+a chunk.
 """
 from __future__ import annotations
 
 import codecs
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -41,7 +48,6 @@ import logging
 import os
 from dataclasses import dataclass, field
 from datetime import date
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -52,127 +58,163 @@ log = logging.getLogger(__name__)
 
 CHUNK_ROWS = 2048         # records parsed per bulk step; bounds the parse's memory
 
-# the bulk parse reads a chunk's cells as fixed-width bytes, as wide as the
-# longest cell; a cell longer than this is cut, and read whole where it is used
+# the longest cell the bulk parse reads; a longer one is read whole where it is used
 _BULK_WIDTH = 32
-_INT64_MAX = str(2 ** 63 - 1).encode()
-# the non-digits of YYYY-MM-DD?HH:MM:SS by position; the ? is a T or a space
-_ISO_SEPARATORS = {4: "-", 7: "-", 13: ":", 16: ":"}
+# by word j and cell length up to _BULK_WIDTH: the mask of the cell's bytes in
+# its bytes 8 j to 8 j + 7 read as a little-endian word
+_WORD_MASKS = np.array([[(1 << 8 * min(max(n - j, 0), 8)) - 1 for n in range(_BULK_WIDTH + 1)]
+                        for j in range(0, _BULK_WIDTH, 8)], np.uint64)
+# YYYY-MM-DD?HH:MM:SS byte by byte: the least byte each offset takes, and how far
+# above it the greatest lies; the ?, a T or a space, is checked on its own
+_ISO_LEAST = np.frombuffer(b"0000-00-00\x0000:00:00", np.uint8)[:, None]
+_ISO_SPAN = np.frombuffer(b"9999-19-39\xff29:59:59", np.uint8)[:, None] - _ISO_LEAST
+# the year, MMDD, hour, second of the day and ns of the fraction, each the sum
+# of a cell's digits weighted by one row, digit k by column k
+_ISO_WEIGHTS = np.zeros((5, _BULK_WIDTH))
+_ISO_WEIGHTS[0, [0, 1, 2, 3]] = _ISO_WEIGHTS[1, [5, 6, 8, 9]] = 1000, 100, 10, 1
+_ISO_WEIGHTS[2, [11, 12]] = 10, 1
+_ISO_WEIGHTS[3, [11, 12, 14, 15, 17, 18]] = 36000, 3600, 600, 60, 10, 1
+_ISO_WEIGHTS[4, 20:29] = 10 ** np.arange(8, -1, -1)      # digits past the ninth truncate
+
+
+@functools.cache
+def _calendar() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """By year 0-9999: whether it is a leap year, and the days from 1970-01-01 to
+    its first day; by 10,000 x leap + MMDD: the day's index in its year, -1 if
+    there is no such day.  As ``date.toordinal`` counts.  Built on first use: a
+    process that reads no ISO stamp does not hold it."""
+    year = np.arange(10_000)
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    y = year - 1
+    jan_1 = 365 * y + y // 4 - y // 100 + y // 400 + 1 - EPOCH_ORDINAL
+    day_of_year = np.full(20_000, -1)
+    for is_leap in (0, 1):
+        lengths = (31, 28 + is_leap, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
+        mmdd = [10_000 * is_leap + 100 * month + day
+                for month, n in enumerate(lengths, 1) for day in range(1, n + 1)]
+        day_of_year[mmdd] = np.arange(len(mmdd))
+    return leap, jan_1, day_of_year
 # whole seconds strictly between these are in range as int64 ns
 _S_MIN, _S_MAX = -2 ** 63 // 10 ** 9, (2 ** 63 - 1) // 10 ** 9
 
 
 class _Cells:
-    """One column of a chunk: each cell's UTF-8 bytes at a fixed width, and its length.
+    """One column of a chunk: where each cell's UTF-8 bytes start in ``data``, and its length.
 
-    ``data`` holds the cells at ``starts``.  ``points`` holds their bytes
-    as (cells, width) uint8, 0 past a cell's end, and ``text`` the same
-    as ``S{width}``.  ``exact`` marks the cells those bytes hold whole: not
-    cut at the width and free of NUL, which ``S`` would drop at a cell's
-    end.  ``raw(i)`` is any cell whole.
+    Nothing is copied up front: each parse reads the bytes it needs with
+    ``head``.  ``words()`` holds each cell's first bytes, up to
+    ``_BULK_WIDTH``, as little-endian words, and ``text()`` the same as
+    ``S``.  ``exact`` marks the cells those hold whole: not cut at
+    ``_BULK_WIDTH`` and free of NUL, which ``S`` drops at a cell's end and
+    a word cannot tell from its padding.  ``raw(i)`` is any cell whole.
     """
 
     def __init__(self, data: bytes, starts: np.ndarray, lens: np.ndarray):
-        self._data, self._starts, self.lens = data, starts, lens
-        width = int(min(max(lens.max(initial=0), 1), _BULK_WIDTH))
-        span = np.arange(width)
-        self.points = np.frombuffer(data, np.uint8).take(starts[:, None] + span, mode="clip")
-        self.points *= span < lens[:, None]
-        self.text = self.points.view(f"S{width}")[:, 0]
-        self.exact = (lens <= width if b"\0" not in data
-                      else np.count_nonzero(self.points, axis=1) == lens)
+        """``data`` holds ``_BULK_WIDTH`` bytes or more past the end of the last cell."""
+        self.data, self.starts, self.lens = data, starts, lens
+        self.exact = lens <= _BULK_WIDTH
 
     @classmethod
     def of(cls, cells) -> _Cells:
         """The form of text cells."""
         raw = [cell.encode() for cell in cells]
         lens = np.fromiter(map(len, raw), np.intp, len(raw))
-        # one byte past the cells, so that even empty cells have data to take from
-        return cls(b"".join(raw) + b" ", np.cumsum(lens) - lens, lens)
+        column = cls(b"".join(raw) + bytes(_BULK_WIDTH), np.cumsum(lens) - lens, lens)
+        column.exact &= ["\0" not in cell for cell in cells]
+        return column
 
     def __len__(self) -> int:
         return len(self.lens)
 
     def raw(self, i: int) -> bytes:
-        return self._data[self._starts[i]:self._starts[i] + self.lens[i]]
+        return self.data[self.starts[i]:self.starts[i] + self.lens[i]]
 
     def cell(self, i: int) -> str:
         return self.raw(i).decode()
 
+    def head(self, width: int, rows=slice(None)) -> np.ndarray:
+        """(cells, ``width``): the first ``width`` <= ``_BULK_WIDTH`` bytes from the
+        start of each cell of ``rows``, read on past its end."""
+        # width bytes from each offset; indexing copies its rows faster than take
+        at = np.ndarray(len(self.data) - width + 1, f"V{width}", self.data, strides=(1,))
+        return at[self.starts[rows]].view(np.uint8).reshape(-1, width)
 
-def _digit_counts(points: np.ndarray) -> np.ndarray:
-    """ASCII digits per row; with the row's length it says whether all of it is digits."""
-    return (points - np.uint8(ord("0")) < 10).sum(1)    # uint8: below "0" wraps high
+    def words(self) -> np.ndarray:
+        """(cells, words): word ``j`` holds a cell's bytes ``8 j`` to ``8 j + 7``,
+        0 past its end; as many words as the longest cell, up to ``_BULK_WIDTH``
+        bytes, needs."""
+        k = -(-min(int(self.lens.max(initial=1)), _BULK_WIDTH) // 8)
+        words = self.head(8 * k).view("<u8")
+        lens = np.minimum(self.lens, _BULK_WIDTH)
+        for j in range(k):
+            words[:, j] &= _WORD_MASKS[j].take(lens)
+        return words
+
+    def text(self) -> np.ndarray:
+        """``words()`` as ``S``: a cell's bytes but any NULs at its end."""
+        words = self.words()
+        return words.view(f"S{words.itemsize * words.shape[1]}")[:, 0]
+
+
+def _groups(cells: _Cells, shortest: int, longest: int):
+    """For each cell length from ``shortest`` to ``longest``: the length, the rows
+    of that length (a slice if they are all), and their bytes as (length, rows),
+    byte ``k`` of each in row ``k``."""
+    lens = cells.lens
+    counts = np.bincount(np.minimum(lens, longest + 1), minlength=longest + 2)
+    for length in np.flatnonzero(counts[shortest:longest + 1]).tolist():
+        length += shortest
+        rows = slice(None) if counts[length] == len(lens) else np.flatnonzero(lens == length)
+        yield length, rows, np.ascontiguousarray(cells.head(length, rows).T)
+
+
+def _digits(b: np.ndarray) -> np.ndarray:
+    """Bytes less ``ord("0")``: a digit reads its value, any other byte 10 or more."""
+    return b - np.uint8(ord("0"))            # uint8: below "0" wraps high
 
 
 def _epoch_bulk(cells: _Cells) -> tuple[np.ndarray, np.ndarray]:
     """Epoch ns of the cells that are 10-19 ASCII digits within int64, and which those are."""
-    lens = cells.lens
-    ok = (lens >= 10) & (lens <= 19) & (_digit_counts(cells.points) == lens)
-    ok &= ~((lens == 19) & (cells.text > _INT64_MAX))
-    ts = np.zeros(len(cells), np.int64)
-    ts[ok] = cells.text[ok].astype(np.int64)
+    ts, ok = np.zeros(len(cells), np.int64), np.zeros(len(cells), bool)
+    for length, rows, b in _groups(cells, 10, 19):
+        d = _digits(b)
+        # 19 digits stay below 2**64
+        value = (d * 10 ** np.arange(length - 1, -1, -1, dtype=np.uint64)[:, None]).sum(0)
+        good = (d < 10).all(0) & (value < 2 ** 63)
+        ts[rows], ok[rows] = np.where(good, value, 0), good
     return ts, ok
 
 
 def _iso_bulk(cells: _Cells) -> tuple[np.ndarray, np.ndarray]:
     """Epoch ns of the cells shaped ``YYYY-MM-DD[T ]HH:MM:SS[.f...][Z|z]``, and which those are.
 
-    Fractional digits past the ninth truncate, as in ``parse_iso_ns``.
-    A date or time ``datetime`` refuses (Feb 30, hour 24, second 60) is
-    not taken; the rest of the group is.
-    """
-    lens, points = cells.lens, cells.points
-    n, width = points.shape
-    ts = np.zeros(n, np.int64)
-    if width < 19:
-        return ts, np.zeros(n, bool)
-    last = points[np.arange(n), np.clip(lens, 1, width) - 1]
-    z = (lens > 19) & ((last == ord("Z")) | (last == ord("z")))
-    end = lens - z                                   # of the fraction
-    dot = points[:, 19] == ord(".") if width > 19 else np.zeros(n, bool)
-    ok = (lens >= 19) & (lens <= width) & ((end == 19) | (dot & (end > 20)))
-    ok &= (points[:, 10] == ord("T")) | (points[:, 10] == ord(" "))
-    for at, sep in _ISO_SEPARATORS.items():
-        ok &= points[:, at] == ord(sep)
-    # the non-digits checked above are the only ones: all other bytes are digits
-    ok &= lens - _digit_counts(points) == 5 + (end > 19) + z
-    if not ok.any():
-        return ts, ok
-    frac = points[:, 20:29].astype(np.int64) - ord("0")
-    frac[np.arange(20, 20 + frac.shape[1]) >= end[:, None]] = 0
-    frac_ns = frac @ 10 ** np.arange(8, 8 - frac.shape[1], -1)
-    rows = np.flatnonzero(ok)
-    secs, taken = _iso_seconds(points[rows])
-    inside = taken & (secs > _S_MIN) & (secs < _S_MAX)
-    ok[rows[~inside]] = False
-    ts[rows[inside]] = secs[inside] * 10 ** 9 + frac_ns[rows[inside]]
-    return ts, ok
-
-
-_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
-_DAYS_BEFORE_MONTH = np.concatenate(([0], np.cumsum(_MONTH_DAYS[:-1])))
-
-
-def _iso_seconds(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Epoch seconds of ``YYYY-MM-DD?HH:MM:SS`` rows of digit bytes, and which ones
-    ``datetime`` reads: years 1-9999, the days of each month, no hour 24 or second 60.
-
-    Computed from the digits, as ``date.toordinal`` counts days.  numpy's
-    cast of ``S`` cells to ``datetime64`` is no way round: in numpy 2.4 a
+    Read per cell length, at fixed offsets.  Fractional digits past the
+    ninth truncate, as in ``parse_iso_ns``.  A date or time ``datetime``
+    refuses (Feb 30, hour 24, second 60) is not taken; the rest of the
+    group is.  Days are counted from the ``_calendar`` tables: numpy's cast
+    of ``S`` cells to ``datetime64`` is no way round, since in numpy 2.4 a
     refused date among a few hundred cells can crash the process.
     """
-    d = points[:, :19].astype(np.int64) - ord("0")
-    year = d[:, 0] * 1000 + d[:, 1] * 100 + d[:, 2] * 10 + d[:, 3]
-    month, day, hh, mm, ss = (d[:, i] * 10 + d[:, i + 1] for i in (5, 8, 11, 14, 17))
-    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-    m = np.clip(month, 1, 12)
-    ok = ((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
-          & (day <= _MONTH_DAYS[m] + (leap & (m == 2))) & (hh < 24) & (mm < 60) & (ss < 60))
-    y = year - 1
-    days = (y * 365 + y // 4 - y // 100 + y // 400 + _DAYS_BEFORE_MONTH[m] + (leap & (m > 2))
-            + day - EPOCH_ORDINAL)
-    return days * 86_400 + hh * 3600 + mm * 60 + ss, ok
+    ts, ok = np.zeros(len(cells), np.int64), np.zeros(len(cells), bool)
+    leap, jan_1, day_of_year = _calendar()
+    for length, rows, b in _groups(cells, 19, _BULK_WIDTH):
+        good = ((b[:19] - _ISO_LEAST) <= _ISO_SPAN).all(0)      # uint8: below the least wraps
+        good &= (b[10] == ord("T")) | (b[10] == ord(" "))
+        d = _digits(b)
+        if length > 19:
+            z = (b[-1] == ord("Z")) | (b[-1] == ord("z"))
+            d[-1, z] = 0
+            if length == 20:
+                good &= z
+            else:       # a dot, then digits, the last of which may be a Z instead
+                good &= (b[19] == ord(".")) & (d[20:] < 10).all(0) & ~(z & (length == 21))
+        # each sum is an integer below 2**53, so exact in float64
+        year, mmdd, hour, second, frac = (_ISO_WEIGHTS[:, :length] @ d).astype(np.int64)
+        day = day_of_year.take(mmdd + 10_000 * leap.take(year, mode="clip"), mode="clip")
+        secs = (jan_1.take(year, mode="clip") + day) * 86_400 + second
+        good &= (day >= 0) & (hour < 24) & (secs > _S_MIN) & (secs < _S_MAX)
+        ts[rows], ok[rows] = np.where(good, secs * 10 ** 9 + frac, 0), good
+    return ts, ok
 
 
 # timestamp format name -> (row parser, bulk parser)
@@ -219,7 +261,7 @@ def _parse_prices(cells: _Cells) -> tuple[np.ndarray, np.ndarray]:
     ``float`` reads the bytes, and reads a cell it refuses again as text:
     only text may hold other scripts' digits or blanks.
     """
-    raw = cells.text.tolist()
+    raw = cells.text().tolist()
     for i in np.flatnonzero(~cells.exact):
         raw[i] = cells.raw(i)
     prices, bad = [], np.zeros(len(raw), bool)
@@ -317,7 +359,31 @@ def _columns(rows: list[list[str]], width: int) -> list[tuple[str, ...]]:
     return list(zip(*rows))
 
 
-def _plain_lines(block: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+def _newlines(block: bytes) -> np.ndarray:
+    """The offset of each newline in ``block``."""
+    return np.flatnonzero(np.frombuffer(block, np.uint8) == ord("\n"))
+
+
+def _line_blocks(fh, size: int):
+    """The rest of a binary file, ``size`` lines at a time (the last block may
+    hold fewer), each block with the offsets of its newlines."""
+    data, newlines = b"", np.empty(0, np.intp)
+    while True:
+        piece = fh.read(1 << 16)
+        data, newlines = data + piece, np.concatenate((newlines, _newlines(piece) + len(data)))
+        start, whole = 0, len(newlines) // size * size
+        for first in range(0, whole, size):
+            stop = int(newlines[first + size - 1]) + 1
+            yield data[start:stop], newlines[first:first + size] - start
+            start = stop
+        if not piece:
+            if start < len(data):
+                yield data[start:], newlines[whole:] - start
+            return
+        data, newlines = data[start:], newlines[whole:] - start
+
+
+def _plain_lines(block: bytes, newlines: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """The start and end of each line of ``block``, a CRLF's CR left out; None unless plain.
 
     Plain lines hold no quote, NUL or byte >= 0x80, no CR but before a
@@ -327,25 +393,24 @@ def _plain_lines(block: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     if b'"' in block or b"\0" in block or not block.isascii():
         return None
     data = np.frombuffer(block, np.uint8)
-    cr = np.flatnonzero(data == ord("\r"))
-    if len(cr) and (cr[-1] + 1 == len(data) or (data[cr + 1] != ord("\n")).any()):
-        return None
-    ends = np.flatnonzero(data == ord("\n"))
-    if not block.endswith(b"\n"):
-        ends = np.append(ends, len(data))
+    ends = newlines if block.endswith(b"\n") else np.append(newlines, len(data))
     starts = np.concatenate(([0], ends[:-1] + 1))
-    nonblank = ends > starts
-    ends[nonblank] -= data[ends[nonblank] - 1] == ord("\r")
+    if b"\r" in block:
+        cr = np.flatnonzero(data == ord("\r"))
+        if cr[-1] + 1 == len(data) or (data[cr + 1] != ord("\n")).any():
+            return None
+        ends = ends - ((ends > starts) & (data[ends - 1] == ord("\r")))
     if (ends - starts).max() > csv.field_size_limit():
         return None
     return starts, ends
 
 
-def _plain_cells(block: bytes, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """The cells of a block of whole lines as (records, ``width``) starts and
+def _plain_cells(block: bytes, newlines: np.ndarray,
+                 width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The cells of a block of whole lines as (``width``, records) starts and
     lengths, and each record's line index; None unless every line is plain and
     each non-blank one has ``width - 1`` commas."""
-    lines = _plain_lines(block)
+    lines = _plain_lines(block, newlines)
     if lines is None:
         return None
     records = np.flatnonzero(lines[1] > lines[0])          # blank lines are skipped
@@ -354,11 +419,11 @@ def _plain_cells(block: bytes, width: int) -> tuple[np.ndarray, np.ndarray, np.n
     if len(commas) != len(records) * (width - 1):
         return None
     # sorted and as many as wanted: each line has its own iff each row lies in its line
-    commas = commas.reshape(len(records), width - 1)
-    if width > 1 and ((commas[:, 0] < starts).any() or (commas[:, -1] >= ends).any()):
+    commas = commas.reshape(len(records), width - 1).T
+    if width > 1 and ((commas[0] < starts).any() or (commas[-1] >= ends).any()):
         return None
-    cell_starts = np.column_stack((starts, commas + 1))
-    return cell_starts, np.column_stack((commas, ends)) - cell_starts, records
+    cell_starts = np.vstack((starts, commas + 1))
+    return cell_starts, np.vstack((commas, ends)) - cell_starts, records
 
 
 def _field_columns(header: list[str], fields: tuple[str, ...], path: Path) -> list[int]:
@@ -381,20 +446,21 @@ def _chunks(fh, fields: tuple[str, ...], path: Path):
     head = fh.readline()
     line, offset = 0, 0                    # the lines and bytes taken on the byte path
     names = head.removeprefix(codecs.BOM_UTF8)       # as spreadsheet exports write
-    if _plain_lines(names) is not None:
+    if _plain_lines(names, _newlines(names)) is not None:
         text = names.removesuffix(b"\n").removesuffix(b"\r").decode()
         header = text.split(",") if text else []
         columns = _field_columns(header, fields, path)
         line, offset = 1, len(head)
-        for block in iter(lambda: b"".join(islice(fh, size)), b""):
-            cells = _plain_cells(block, len(header))
+        for block, newlines in _line_blocks(fh, size):
+            cells = _plain_cells(block, newlines, len(header))
             if cells is None:
                 break
             starts, lens, records = cells
             if len(records):
-                yield ([_Cells(block, starts[:, c], lens[:, c]) for c in columns],
+                data = block + bytes(_BULK_WIDTH)
+                yield ([_Cells(data, starts[c], lens[c]) for c in columns],
                        line + 1 + records)
-            line += block.count(b"\n")
+            line += len(newlines)
             offset += len(block)
         else:
             return
@@ -413,24 +479,62 @@ def _chunks(fh, fields: tuple[str, ...], path: Path):
         text.detach()       # fh is the caller's to close
 
 
-def _pair_codes(sym: _Cells, exch: _Cells, code_of) -> np.ndarray:
-    """Each row's code of its raw (symbol, exchange) pair, from ``code_of(symbol, exchange)``.
+class _Pairs:
+    """The (symbol, exchange) pairs of one file, coded in the order they first appear.
 
-    The rows whose cells are exact are grouped by one ``np.unique``, so
-    ``code_of`` is asked once per distinct pair among them and once per
-    other row.
+    ``names`` holds each code's stripped (symbol, exchange), ``reasons``
+    its reject code.
     """
-    exact = sym.exact & exch.exact
-    rows = np.flatnonzero(exact)
-    key = np.concatenate((sym.points[rows], exch.points[rows]), axis=1)
-    _, first, inverse = np.unique(key.view(f"S{key.shape[1]}")[:, 0],
-                                  return_index=True, return_inverse=True)
-    code = np.empty(len(exact), np.int32)
-    code[rows] = np.array([code_of(sym.raw(r), exch.raw(r)) for r in rows[first]],
-                          np.int32)[inverse]
-    for i in np.flatnonzero(~exact):
-        code[i] = code_of(sym.raw(i), exch.raw(i))
-    return code
+
+    def __init__(self):
+        self._codes: dict[tuple[bytes, bytes], int] = {}      # raw (symbol, exchange) -> code
+        self.names: list[tuple[str, str]] = []
+        self.reasons: list[int] = []
+        self._raw: list[tuple[bytes, bytes]] = []       # code -> raw (symbol, exchange)
+        self._common: list[tuple[bytes, bytes]] = []    # the last chunk's frequent raw pairs
+
+    def code(self, symbol: bytes, exchange: bytes) -> int:
+        if (symbol, exchange) not in self._codes:
+            self._codes[symbol, exchange] = len(self.names)
+            self._raw.append((symbol, exchange))
+            self.names.append((symbol.decode().strip(), exchange.decode().strip()))
+            self.reasons.append(_pair_reason(*self.names[-1]))
+        return self._codes[symbol, exchange]
+
+    def of(self, sym: _Cells, exch: _Cells) -> np.ndarray:
+        """Each row's code.
+
+        The rows whose cells are exact are keyed by their words.  Those
+        holding one of the pairs frequent in the last chunk are found by
+        comparing keys, and the rest grouped by one ``np.unique``; so
+        ``code`` is asked once per new pair among them and once per other row.
+        """
+        exact = sym.exact & exch.exact
+        words = sym.words(), exch.words()
+        widths = [8 * w.shape[1] for w in words]
+        key = np.ascontiguousarray(np.concatenate(words, axis=1).T)     # (words, rows)
+        code = np.full(len(exact), -1, np.int32)
+        common = [pair for pair in self._common
+                  if all(len(cell) <= width for cell, width in zip(pair, widths))]
+        if common:
+            want = np.frombuffer(b"".join(cell.ljust(width, b"\0") for pair in common
+                                          for cell, width in zip(pair, widths)), "<u8")
+            for pair, match in zip(common, (key == want.reshape(len(common), -1, 1)).all(1)):
+                code[match] = self._codes[pair]
+        rows = np.flatnonzero(exact & (code < 0))
+        if len(rows):
+            rest = np.ascontiguousarray(key[:, rows].T)
+            _, first, inverse = np.unique(rest.view(f"V{8 * len(key)}")[:, 0],
+                                          return_index=True, return_inverse=True)
+            code[rows] = np.array([self.code(sym.raw(r), exch.raw(r)) for r in rows[first]],
+                                  np.int32)[inverse]
+        for i in np.flatnonzero(~exact):
+            code[i] = self.code(sym.raw(i), exch.raw(i))
+        # a comparison costs about a sixteenth of the sort it can spare
+        counts = np.bincount(code[exact], minlength=len(self.names))
+        self._common = [self._raw[c]
+                        for c in np.flatnonzero((counts > 0) & (counts * 16 >= exact.sum()))]
+        return code
 
 
 def _write_replacing(path: Path, write) -> None:
@@ -488,17 +592,7 @@ class TickStore:
             fh.seek(0)
             report = IngestReport()
             fmt = None
-            codes: dict[tuple[bytes, bytes], int] = {}   # raw (symbol, exchange) -> pair code
-            pairs: list[tuple[str, str]] = []            # pair code -> stripped (symbol, exchange)
-            pair_reasons: list[int] = []                 # pair code -> reject code
-
-            def code_of(symbol: bytes, exchange: bytes) -> int:
-                if (symbol, exchange) not in codes:
-                    codes[symbol, exchange] = len(pairs)
-                    pairs.append((symbol.decode().strip(), exchange.decode().strip()))
-                    pair_reasons.append(_pair_reason(*pairs[-1]))
-                return codes[symbol, exchange]
-
+            pairs = _Pairs()
             counts = np.zeros(len(_REASONS), np.int64)
             kept = []                                    # per chunk: ts, price, pair code
             fields = (schema.time, schema.exchange, schema.symbol, schema.price)
@@ -514,10 +608,12 @@ class TickStore:
                 else:
                     ts, bad_ts = np.zeros(len(lines), np.int64), np.ones(len(lines), bool)
                 price, bad_price = _parse_prices(raw_price)
-                code = _pair_codes(raw_sym, raw_exch, code_of)
-                reason = np.select(          # codes 1-3 of _REASONS, else the pair's
-                    [bad_ts, bad_price, ~np.isfinite(price) | (price <= 0)], [1, 2, 3],
-                    np.array(pair_reasons, np.int8)[code])
+                code = pairs.of(raw_sym, raw_exch)
+                # codes 1-3 of _REASONS, else the pair's; the lower code wins
+                reason = np.array(pairs.reasons, np.int8)[code]
+                reason[~np.isfinite(price) | (price <= 0)] = 3
+                reason[bad_price] = 2
+                reason[bad_ts] = 1
                 counts += np.bincount(reason, minlength=len(_REASONS))
                 report.reject_log += [(int(lines[i]), _REASONS[reason[i]])
                                       for i in np.flatnonzero(reason)]
@@ -527,7 +623,7 @@ class TickStore:
         report.accepted, report.rejected = int(counts[0]), int(counts[1:].sum())
         report.rejected_by_reason = {why: int(k) for why, k in zip(_REASONS[1:], counts[1:]) if k}
         if report.accepted:
-            self._write_days(digest, pairs, *(np.concatenate(col) for col in zip(*kept)))
+            self._write_days(digest, pairs.names, *(np.concatenate(col) for col in zip(*kept)))
         record = {"accepted": report.accepted, "rejected": report.rejected,
                   "rejected_by_reason": report.rejected_by_reason,
                   "timestamp_format": report.timestamp_format}
