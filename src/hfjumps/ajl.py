@@ -256,10 +256,6 @@ def _quantize_ratio(ratio: float) -> str:
     an exact memo: statistically identical days share one calibration
     draw, which also pins the seed deterministically.
     """
-    if ratio == 0:
-        return "0"
-    if not np.isfinite(ratio):
-        return "inf"
     return f"{ratio:.3g}"
 
 

@@ -1,5 +1,10 @@
 """Exception types shared across the toolkit."""
 
+# Why a symbol-day went untested, one tag per stage that can refuse a day
+# (README, "Catalog"); run_range's "error:<type>" is the only other reason.
+UNTESTED_REASONS = ("no_data", "frequency", "lm_short", "lm_blocks", "lm_flat",
+                    "ajl_short", "ajl_flat")
+
 
 class HfJumpsError(Exception):
     """Base class for all toolkit errors."""
@@ -8,11 +13,13 @@ class HfJumpsError(Exception):
 class DayRejected(HfJumpsError):
     """A symbol-day cannot be tested; the caller should skip it, not abort.
 
-    ``reason`` is a short machine-readable tag (e.g. ``"frequency"``,
-    ``"lm_short"``, ``"ajl_flat"``) recorded in the day verdict.
+    ``reason`` is one of ``UNTESTED_REASONS`` and is recorded in the day
+    verdict; ``detail`` says what the stage measured, for the log.
     """
 
     def __init__(self, reason: str, detail: str = ""):
+        if reason not in UNTESTED_REASONS:
+            raise ValueError(f"unknown untested reason {reason!r}")
         self.reason = reason
         self.detail = detail
         super().__init__(f"{reason}: {detail}" if detail else reason)

@@ -51,7 +51,7 @@ class LmParams:
 
     ``M = round(C * floor(n/k)^(1/2))``, floored at 1.  With the default
     C = 0.05 a full one-second day (n = 86,400) and k in [3, 51] puts M
-    in the 2..9 range.
+    in the 2..8 range.
     """
 
     k: int

@@ -20,8 +20,8 @@ import numpy as np
 # load_catalog is not used here: the benchmark imports it from this module
 from .catalog import REMOVALS_HEADER, DayVerdict, load_catalog, removals_path, write_manifest
 from .errors import DayRejected
-from .preprocess import (AggregatedSeries, aggregate_cross_exchange, filter_returns,
-                         make_equispaced, select_frequency)
+from .preprocess import (FREQUENCIES, AggregatedSeries, aggregate_cross_exchange,
+                         filter_returns, make_equispaced, select_frequency)
 from .tickstore import TickStore
 
 if TYPE_CHECKING:
@@ -33,8 +33,9 @@ log = logging.getLogger(__name__)
 def detect_day(series: AggregatedSeries, cfg: RunConfig) -> DayVerdict:
     """Full per-day chain on an aggregated series (pure given config).
 
-    preprocess -> moment scan + dedup -> day-level test -> combination.
-    Any stage rejection yields an untested verdict naming the stage.
+    preprocess -> moment scan -> day-level test -> dedup -> combination.
+    A stage that cannot test the day raises ``DayRejected``; the verdict
+    is then untested, with the stage's reason from ``UNTESTED_REASONS``.
     """
     # imported on first use: analyze reads the catalog and the store, and
     # needs neither test
@@ -42,44 +43,38 @@ def detect_day(series: AggregatedSeries, cfg: RunConfig) -> DayVerdict:
 
     verdict = DayVerdict(symbol=series.symbol, utc_date=series.utc_date,
                          tested=False, config_hash=cfg.hash())
-    if len(series) == 0:
-        verdict.reason = "no_data"
-        return verdict
-
-    verdict.filter = {"sd_cutoff": cfg.sd_cutoff, "reversal": cfg.bounceback_reversal}
-    filtered, removed = filter_returns(series, **verdict.filter)
-    verdict.removals = removed
-    verdict.n_removed = len(removed)
-    verdict.n_points = len(filtered)
-    if len(filtered):
+    try:
+        if len(series) == 0:
+            raise DayRejected("no_data")
+        verdict.filter = {"sd_cutoff": cfg.sd_cutoff, "reversal": cfg.bounceback_reversal}
+        filtered, removed = filter_returns(series, **verdict.filter)
+        verdict.removals = removed
+        verdict.n_removed = len(removed)
+        verdict.n_points = len(filtered)
+        # the filter never removes a day's first point, so filtered is not empty
         verdict.close_log_price = float(filtered.log_prices[-1])
 
-    freq = select_frequency(filtered, coverage=cfg.coverage)
-    if freq is None:
-        verdict.reason = "frequency"
-        return verdict
-    verdict.frequency_s = freq
+        freq = select_frequency(filtered, coverage=cfg.coverage)
+        if freq is None:
+            raise DayRejected("frequency", f"no grid of {FREQUENCIES} s reaches "
+                                           f"coverage {cfg.coverage}")
+        verdict.frequency_s = freq
 
-    try:
         k = lm.select_k(filtered.log_prices)
         params = lm.LmParams.for_series(
             n=len(filtered), k=k, C=cfg.lm_C, alpha=cfg.alpha,
             bonferroni=cfg.bonferroni != "off")
         scan = lm.lm_scan(filtered.log_prices, params,
                           timestamps_ns=filtered.timestamps_ns)
-    except DayRejected as exc:
-        verdict.reason = exc.reason
-        return verdict
 
-    deduped = lm.dedup_consecutive(scan.moments, window=cfg.dedup_window)
-
-    ajl_params = cfg.ajl_params()
-    try:
+        ajl_params = cfg.ajl_params()
         grid = make_equispaced(filtered, freq)
         day_ajl = ajl.ajl_test(grid.log_prices, ajl_params, frequency_s=freq)
     except DayRejected as exc:
         verdict.reason = exc.reason
+        log.debug("%s %s untested: %s", series.symbol, series.utc_date, exc)
         return verdict
+    deduped = lm.dedup_consecutive(scan.moments, window=cfg.dedup_window)
     log.debug("%s %s: AJL null std from %s", series.symbol, series.utc_date,
               day_ajl.calibration)
 

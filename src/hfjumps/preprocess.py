@@ -63,9 +63,6 @@ def aggregate_cross_exchange(day: SymbolDaySlice) -> AggregatedSeries:
     Order-invariant: ticks are grouped purely by timestamp, so any
     permutation of the input produces the same series.
     """
-    if day.empty:
-        return AggregatedSeries(day.symbol, day.utc_date,
-                                np.empty(0, dtype=np.int64), np.empty(0))
     ts, inverse = np.unique(day.timestamps_ns, return_inverse=True)
     sums = np.bincount(inverse, weights=day.prices)
     counts = np.bincount(inverse)

@@ -292,10 +292,6 @@ class SymbolDaySlice:
     def __len__(self) -> int:
         return len(self.timestamps_ns)
 
-    @property
-    def empty(self) -> bool:
-        return len(self) == 0
-
 
 @dataclass(frozen=True)
 class CsvSchema:

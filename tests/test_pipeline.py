@@ -1,16 +1,23 @@
 """Orchestration: per-day verdicts, combination rule, catalog determinism."""
 import json
+import logging
+import re
 from datetime import date, timedelta
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hfjumps.catalog import DayVerdict, load_catalog, manifest_path, removals_path
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hfjumps.catalog import (DAY_NS, DayVerdict, day_start_ns, load_catalog, manifest_path,
+                             removals_path)
 from hfjumps.config import RunConfig
+from hfjumps.errors import UNTESTED_REASONS, DayRejected
 from hfjumps.pipeline import detect_day, load_day, render_symbol_summary, run_range
-from hfjumps.preprocess import AggregatedSeries
+from hfjumps.preprocess import AggregatedSeries, aggregate_cross_exchange
 from hfjumps.simulate import SimConfig, simulate_day, tick_timestamps_ns
-from hfjumps.tickstore import TickStore
+from hfjumps.tickstore import SymbolDaySlice, TickStore
 
 D = date(2021, 3, 1)
 CFG = RunConfig(sigma_rj_paths=100)
@@ -222,3 +229,87 @@ def test_render_symbol_summary_layout():
 def test_config_hash_changes_with_settings():
     assert RunConfig().hash() != RunConfig(alpha=0.99).hash()
     assert RunConfig().hash() == RunConfig().hash()
+
+
+def test_day_rejected_refuses_an_unlisted_reason():
+    with pytest.raises(ValueError, match="bogus"):
+        DayRejected("bogus")
+
+
+def test_an_untested_day_logs_one_debug_line_with_its_reason(caplog):
+    ts = tick_timestamps_ns(D, 5000)
+    with caplog.at_level(logging.DEBUG, logger="hfjumps.pipeline"):
+        detect_day(AggregatedSeries("BTC", D, ts, np.full(5000, 4.6)), CFG)
+    assert [r.getMessage() for r in caplog.records if r.name == "hfjumps.pipeline"] == [
+        "BTC 2021-03-01 untested: frequency: no grid of (1, 5, 10, 15) s reaches coverage 0.95"]
+
+
+def test_readme_lists_exactly_the_untested_reasons():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    catalog = readme.split("* **Catalog**", 1)[1].split("\n* **", 1)[0]
+    assert tuple(re.findall(r"^ +- `([a-z_]+)` \(", catalog, re.M)) == UNTESTED_REASONS
+
+
+HOUR_NS = 3600 * 10 ** 9
+
+
+@st.composite
+def tick_days(draw):
+    """A symbol-day as the store gives it: time-sorted rows of 1-3 exchanges
+    printing at identical stamps, with flat stretches, bad-print bursts,
+    single-tick jumps and hour-long gaps drawn on a random-walk path."""
+    n = draw(st.one_of(st.integers(0, 86_400), st.sampled_from((5_760, 17_280, 86_400))))
+    regular = draw(st.booleans())
+    n_exchanges = draw(st.integers(1, 3))
+    sigma = draw(st.sampled_from((0.01, 0.04, 0.1)))
+    q = draw(st.sampled_from((0.0, 0.0005, 0.002)))
+    flat = draw(st.sampled_from(("none", "stretch", "day")))
+    flat_at, flat_share = draw(st.floats(0, 1)), draw(st.floats(0.01, 0.9))
+    event = draw(st.sampled_from(("none", "burst", "jump")))
+    event_at = draw(st.floats(0, 1))
+    jump = draw(st.floats(0.005, 0.5)) * draw(st.sampled_from((1, -1)))
+    gap_hours = draw(st.lists(st.integers(0, 23), max_size=2, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    offsets = (DAY_NS // max(n, 1) * np.arange(n, dtype=np.int64) if regular
+               else np.sort(rng.integers(0, DAY_NS, n)))
+    path = np.log(100.0) + np.cumsum(rng.normal(0, sigma / np.sqrt(max(n, 1)), n))
+    at = int(event_at * max(n - 1, 0))
+    if event == "burst":
+        path[at:at + 5] += np.log(1.05)
+    elif event == "jump":
+        path[at:] += np.log1p(jump)
+    observed = path + q * rng.standard_normal((n_exchanges, n))
+    if flat == "day":
+        observed[:] = np.log(100.0)
+    elif flat == "stretch":
+        start = int(flat_at * max(n - 1, 0))
+        stop = start + int(flat_share * n)
+        observed[:, start:stop] = observed[:, start:start + 1]
+    keep = ~np.isin(offsets // HOUR_NS, gap_hours)
+    offsets, observed = offsets[keep], observed[:, keep]
+    ticks = SymbolDaySlice(
+        "BTC", D, np.repeat(day_start_ns(D) + offsets, n_exchanges),
+        np.tile(np.array(["A", "B", "C"][:n_exchanges]), len(offsets)),
+        np.exp(observed.T.ravel()))
+    return aggregate_cross_exchange(ticks)
+
+
+# sigma_rj_paths=8: a day off the committed null table draws a small Monte Carlo
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(series=tick_days())
+def test_any_day_gets_a_verdict_that_round_trips(series, tmp_path):
+    cfg = RunConfig(sigma_rj_paths=8)
+    v = detect_day(series, cfg)
+    assert v.tested == (v.reason == "")
+    if not v.tested:
+        assert v.reason in UNTESTED_REASONS
+    if v.reason != "no_data":
+        assert v.n_points + v.n_removed == len(series)
+    if v.accepted_jumps:
+        assert v.ajl["reject_null"]
+    catalog = tmp_path / "catalog.jsonl"
+    catalog.write_text(v.to_json() + "\n")
+    [rec] = load_catalog(catalog)
+    assert json.dumps(rec, sort_keys=True) == v.to_json()

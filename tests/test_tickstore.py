@@ -215,7 +215,7 @@ def test_slice_two_exchanges_sorted(tmp_path):
 def test_slice_missing_day_is_empty_not_error(tmp_path):
     store = TickStore(tmp_path / "store")
     day = store.slice("BTC", date(2021, 3, 1))
-    assert day.empty
+    assert len(day) == 0
 
 
 def test_only_an_ingest_creates_the_store(tmp_path):
@@ -277,8 +277,8 @@ def test_interrupted_ingest_retry_stores_each_row_once(tmp_path, monkeypatch):
     # the first day's file landed, but the source has no record: nothing is visible
     assert len(list((tmp_path / "store" / "ticks").rglob("*.npz"))) == 1
     assert store.symbols() == [] and store.days("BTC") == []
-    assert store.slice("BTC", date(2021, 3, 1)).empty
-    assert store.slice("BTC", date(2021, 3, 2)).empty
+    assert len(store.slice("BTC", date(2021, 3, 1))) == 0
+    assert len(store.slice("BTC", date(2021, 3, 2))) == 0
     rep = store.ingest_csv(path)
     assert (rep.accepted, rep.already_ingested) == (8, False)
     assert store.symbols() == ["BTC"]
