@@ -21,7 +21,6 @@ class DayRejected(HfJumpsError):
         if reason not in UNTESTED_REASONS:
             raise ValueError(f"unknown untested reason {reason!r}")
         self.reason = reason
-        self.detail = detail
         super().__init__(f"{reason}: {detail}" if detail else reason)
 
 
