@@ -5,7 +5,10 @@ Each command line of the README's first ``bash`` block under
 the checkout, so the commands use the installed package: its console
 script and the data files it ships.  Exits 1 unless every command exits
 0, the catalog holds at least one tested day and the report bundle
-holds ``timeline.csv`` and the catalog's manifest and removal log.
+holds ``timeline.csv`` and the catalog's manifest and removal log.  Then
+it concatenates the catalog with itself, and exits 1 unless ``hfjumps
+analyze`` refuses that catalog, which holds each symbol-day twice: exit
+2 and no output directory.
 
     python -m venv venv && venv/bin/pip install .
     PATH="$PWD/venv/bin:$PATH" python scripts/readme_walkthrough.py
@@ -55,6 +58,14 @@ def main() -> int:
             if not (work / "report" / name).is_file():
                 print(f"the report bundle holds no {name}", file=sys.stderr)
                 return 1
+        (work / "twice.jsonl").write_bytes((work / "catalog.jsonl").read_bytes() * 2)
+        line = "hfjumps analyze --store store/ --catalog twice.jsonl --out twice/"
+        print(f"$ {line}", flush=True)
+        code = subprocess.run(line, shell=True, cwd=work).returncode
+        if code != 2 or (work / "twice").exists():
+            print(f"a catalog holding each day twice: exit {code}, want 2 and no twice/",
+                  file=sys.stderr)
+            return 1
     return 0
 
 

@@ -129,10 +129,10 @@ def load_catalog(path) -> list[dict]:
 
     A line that is not a JSON object with a ``schema_version`` key, as
     every verdict has, raises OSError: the file is not a catalog.  So
-    does a record of another schema than ``SCHEMA_VERSION``, and one
-    that lacks any of the ``RECORD_KEYS``.
+    does a record of another schema than ``SCHEMA_VERSION``, one that
+    lacks any of the ``RECORD_KEYS``, and a second record of a symbol-day.
     """
-    out = []
+    out, seen = [], {}
     with open(path, "rb") as fh:
         for n, line in enumerate(fh, 1):
             line = line.strip()
@@ -151,5 +151,9 @@ def load_catalog(path) -> list[dict]:
             if missing:
                 raise OSError(f"{path} line {n}: a schema {SCHEMA_VERSION} record "
                               f"missing {sorted(missing)}")
+            first = seen.setdefault((rec["symbol"], rec["date"]), n)
+            if first != n:
+                raise OSError(f"{path} lines {first} and {n}: two records of "
+                              f"{rec['symbol']} {rec['date']}; a catalog holds one per symbol-day")
             out.append(rec)
     return out

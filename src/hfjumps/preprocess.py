@@ -60,8 +60,11 @@ class RemovalRecord:
 def aggregate_cross_exchange(day: SymbolDaySlice) -> AggregatedSeries:
     """Mean price over exchanges at identical timestamps, then log.
 
-    Order-invariant: ticks are grouped purely by timestamp, so any
-    permutation of the input produces the same series.
+    Each stamp's prints are summed in the slice's order, and a mean of three
+    or more can differ in its last bit with that order.  ``TickStore.slice``
+    sorts by (timestamp, exchange), so a day's series does not depend on how
+    its rows were laid out in files; only prints that share both stamp and
+    exchange keep file order.
     """
     ts, inverse = np.unique(day.timestamps_ns, return_inverse=True)
     sums = np.bincount(inverse, weights=day.prices)

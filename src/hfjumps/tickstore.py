@@ -26,15 +26,13 @@ digits are summed digit by digit, and ISO stamps of the shape
 ``YYYY-MM-DD[T ]HH:MM:SS[.f...][Z|z]`` are checked byte by byte, their
 fields summed from their digits and their days counted from tables.
 Prices go through ``float`` on their bytes as ``S``.  (symbol, exchange)
-pairs are keyed by their bytes read as words: rows holding a pair that
-was frequent in the chunk before are found by comparing keys, the rest
-grouped by one ``np.unique``.  Any other timestamp (an offset,
-surrounding blanks, an impossible date, a value at the ends of int64
-nanoseconds) goes through the row-level parser, ``parse_iso_ns`` or
-``parse_epoch_ns``, so bulk and row parse accept and reject the same
-cells; a price ``float`` refuses as bytes is read again as text.  The
-reject rules are masks, and only int64, float64 and code arrays outlive
-a chunk.
+pairs are keyed by their bytes read as words and grouped by one
+``np.unique``.  Any other timestamp (an offset, surrounding blanks, an
+impossible date, a value at the ends of int64 nanoseconds) goes through
+the row-level parser, ``parse_iso_ns`` or ``parse_epoch_ns``, so bulk
+and row parse accept and reject the same cells; a price ``float``
+refuses as bytes is read again as text.  The reject rules are masks, and
+only int64, float64 and code arrays outlive a chunk.
 """
 from __future__ import annotations
 
@@ -476,23 +474,21 @@ def _chunks(fh, fields: tuple[str, ...], path: Path):
 
 
 class _Pairs:
-    """The (symbol, exchange) pairs of one file, coded in the order they first appear.
+    """The (symbol, exchange) pairs of one file, each coded once.
 
-    ``names`` holds each code's stripped (symbol, exchange), ``reasons``
-    its reject code.
+    A chunk's new pairs get codes in ``np.unique``'s key order, not in order
+    of first appearance; no output depends on that order.  ``names`` holds
+    each code's stripped (symbol, exchange), ``reasons`` its reject code.
     """
 
     def __init__(self):
         self._codes: dict[tuple[bytes, bytes], int] = {}      # raw (symbol, exchange) -> code
         self.names: list[tuple[str, str]] = []
         self.reasons: list[int] = []
-        self._raw: list[tuple[bytes, bytes]] = []       # code -> raw (symbol, exchange)
-        self._common: list[tuple[bytes, bytes]] = []    # the last chunk's frequent raw pairs
 
     def code(self, symbol: bytes, exchange: bytes) -> int:
         if (symbol, exchange) not in self._codes:
             self._codes[symbol, exchange] = len(self.names)
-            self._raw.append((symbol, exchange))
             self.names.append((symbol.decode().strip(), exchange.decode().strip()))
             self.reasons.append(_pair_reason(*self.names[-1]))
         return self._codes[symbol, exchange]
@@ -500,36 +496,21 @@ class _Pairs:
     def of(self, sym: _Cells, exch: _Cells) -> np.ndarray:
         """Each row's code.
 
-        The rows whose cells are exact are keyed by their words.  Those
-        holding one of the pairs frequent in the last chunk are found by
-        comparing keys, and the rest grouped by one ``np.unique``; so
-        ``code`` is asked once per new pair among them and once per other row.
+        The rows whose cells are exact are grouped by one ``np.unique`` of
+        their words, so ``code`` is asked once per distinct pair among them
+        and once per other row.
         """
         exact = sym.exact & exch.exact
-        words = sym.words(), exch.words()
-        widths = [8 * w.shape[1] for w in words]
-        key = np.ascontiguousarray(np.concatenate(words, axis=1).T)     # (words, rows)
-        code = np.full(len(exact), -1, np.int32)
-        common = [pair for pair in self._common
-                  if all(len(cell) <= width for cell, width in zip(pair, widths))]
-        if common:
-            want = np.frombuffer(b"".join(cell.ljust(width, b"\0") for pair in common
-                                          for cell, width in zip(pair, widths)), "<u8")
-            for pair, match in zip(common, (key == want.reshape(len(common), -1, 1)).all(1)):
-                code[match] = self._codes[pair]
-        rows = np.flatnonzero(exact & (code < 0))
+        code = np.empty(len(exact), np.int32)
+        rows = np.flatnonzero(exact)
         if len(rows):
-            rest = np.ascontiguousarray(key[:, rows].T)
-            _, first, inverse = np.unique(rest.view(f"V{8 * len(key)}")[:, 0],
+            key = np.ascontiguousarray(np.concatenate((sym.words()[rows], exch.words()[rows]), 1))
+            _, first, inverse = np.unique(key.view(f"V{key.itemsize * key.shape[1]}")[:, 0],
                                           return_index=True, return_inverse=True)
             code[rows] = np.array([self.code(sym.raw(r), exch.raw(r)) for r in rows[first]],
                                   np.int32)[inverse]
         for i in np.flatnonzero(~exact):
             code[i] = self.code(sym.raw(i), exch.raw(i))
-        # a comparison costs about a sixteenth of the sort it can spare
-        counts = np.bincount(code[exact], minlength=len(self.names))
-        self._common = [self._raw[c]
-                        for c in np.flatnonzero((counts > 0) & (counts * 16 >= exact.sum()))]
         return code
 
 
@@ -661,7 +642,10 @@ class TickStore:
 
         A missing partition is a normal empty day, distinct from an
         unreadable store (which raises OSError).  Rows sharing a (timestamp,
-        exchange) pair keep their file order, files their digest order.
+        exchange) pair keep their file order, files their digest order.  The
+        exchange is part of the sort because ``aggregate_cross_exchange`` sums
+        each stamp's prices in this order: sorted by time alone, a day's
+        series would depend on its files' row order in the last bit.
         """
         parts = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=str), np.empty(0))]
         for part in sorted(self._committed(self._day_dir(symbol, utc_date), "*.npz")):

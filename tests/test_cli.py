@@ -657,6 +657,19 @@ def test_truncated_catalog_line_is_an_io_error(spiked, tmp_path, capsys):
         assert capsys.readouterr().err.startswith(f"i/o error: {catalog} line 3: ")
 
 
+def test_a_symbol_day_recorded_twice_is_an_io_error(spiked, tmp_path, capsys):
+    catalog = tmp_path / "catalog.jsonl"
+    text = (spiked / "catalog.jsonl").read_text()
+    catalog.write_text(text + text)         # a run appended over days it already holds
+    for argv in (("analyze", "--store", str(spiked / "store"), "--out", str(tmp_path / "t")),
+                 ("report", "--out", str(tmp_path / "r"))):
+        assert run(argv[0], "--catalog", str(catalog), *argv[1:]) == 2
+        assert capsys.readouterr().err == (
+            f"i/o error: {catalog} lines 1 and 3: two records of BTC 2021-01-01; "
+            "a catalog holds one per symbol-day\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["catalog.jsonl"]
+
+
 NO_VERSION = "not a catalog record (no schema_version)"
 
 

@@ -17,8 +17,10 @@ from hypothesis import strategies as st
 
 from hfjumps import tickstore
 from hfjumps.catalog import day_start_ns, parse_epoch_ns, parse_iso_ns, utc_date
+from hfjumps.pipeline import load_day
+from hfjumps.preprocess import aggregate_cross_exchange
 from hfjumps.simulate import SimConfig, make_corpus
-from hfjumps.tickstore import CsvSchema, TickStore
+from hfjumps.tickstore import CsvSchema, SymbolDaySlice, TickStore
 
 DAY_NS = 86_400 * 10 ** 9
 T0 = 1_614_556_800_000_000_000   # 2021-03-01T00:00:00Z
@@ -302,6 +304,34 @@ def test_two_sources_one_day_hold_their_union(tmp_path):
     assert list(day.prices) == [101.0, 103.0, 102.0, 100.0]
     assert store.ingest_csv(a).already_ingested and store.ingest_csv(b).already_ingested
     assert len(store.slice("BTC", date(2021, 3, 1))) == 4
+
+
+def test_a_day_aggregates_bit_identically_whatever_its_files_layout(tmp_path):
+    """A mean of three prints depends on their summation order in its last
+    bit; ``slice``'s (timestamp, exchange) sort fixes that order."""
+    rng = np.random.default_rng(0)
+    stamps = T0 + 10 ** 9 * np.arange(2000)
+    rows = [[int(t), exch, "BTC", repr(float(p))] for t in stamps
+            for exch, p in zip("ABC", rng.uniform(90, 110, 3))]
+    shuffled = [rows[i] for i in rng.permutation(len(rows))]
+    layouts = {"ordered": [rows], "shuffled": [shuffled],
+               "per_exchange": [[r for r in rows if r[1] == exch] for exch in "CAB"]}
+    series = {}
+    for name, files in layouts.items():
+        store = TickStore(tmp_path / name)
+        for i, file_rows in enumerate(files):
+            write_csv(tmp_path / f"{name}{i}.csv", file_rows)
+            store.ingest_csv(tmp_path / f"{name}{i}.csv")
+        series[name] = load_day(store, "BTC", date(2021, 3, 1))
+    for name in ("shuffled", "per_exchange"):
+        np.testing.assert_array_equal(series[name].timestamps_ns, stamps)
+        np.testing.assert_array_equal(series[name].log_prices, series["ordered"].log_prices)
+    # sorted by time alone, the shuffled rows sum each stamp in file order
+    by_time = sorted(shuffled, key=lambda r: r[0])
+    time_only = aggregate_cross_exchange(SymbolDaySlice(
+        "BTC", date(2021, 3, 1), np.array([r[0] for r in by_time]),
+        np.array([r[1] for r in by_time]), np.array([float(r[3]) for r in by_time])))
+    assert (time_only.log_prices != series["ordered"].log_prices).sum() > 0
 
 
 def test_duplicate_rows_are_kept(tmp_path):
